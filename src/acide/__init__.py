@@ -5,21 +5,17 @@ from acide.admission import (
     AdmissionOutcome,
     InsufficientBudgetError,
     admitted_upper_bound,
-    brute_force_admission,
     join_cluster,
 )
 from acide.core import (
     AllocationPlan,
-    AlphaCoefficients,
     AssumptionViolation,
     InfeasibleClusterError,
     PeerProfile,
     StreamParams,
     ValidationReport,
     allocated_bandwidth,
-    alpha_coefficients,
     min_bandwidth,
-    solve_block_sizes,
     sort_peers,
     validate_cluster,
 )
@@ -49,7 +45,6 @@ __all__ = [
     "AdmissionBudget",
     "AdmissionOutcome",
     "AllocationPlan",
-    "AlphaCoefficients",
     "AssumptionViolation",
     "ExperimentRecord",
     "InfeasibleClusterError",
@@ -64,10 +59,8 @@ __all__ = [
     "admitted_upper_bound",
     "admitted_vs_budget_curve",
     "allocated_bandwidth",
-    "alpha_coefficients",
     "baseline_bandwidths",
     "block_size_profile",
-    "brute_force_admission",
     "build_schedule",
     "default_scenario",
     "generate_peers",
@@ -77,7 +70,6 @@ __all__ = [
     "playback_check",
     "run_admission_sweep",
     "simulate",
-    "solve_block_sizes",
     "sort_peers",
     "validate_cluster",
 ]

@@ -2,19 +2,19 @@
 
 The base station reserves a bandwidth budget for a cluster before anyone
 joins. Admission then has to pick, from N interested users, the largest
-subset whose optimal allocation fits the budget. Choosing the subset exactly
-is a subset-sum-like search, so the shipped algorithm is greedy: start from
-everyone, repeatedly drop the weakest uploader until the required bandwidth
-fits. For the cost model used here the greedy result provably reaches the
-maximum cardinality; an exhaustive oracle for small inputs is included so
-tests can confirm that.
+subset whose optimal allocation fits the budget. For the cost model used
+here that subset is the top-k uploaders for the largest feasible k: dropping
+the weakest uploader never raises the requirement, because (n-1)*u_min is at
+most sum(u). The requirement is therefore monotone along the upload-sorted
+suffixes, and admission bisects for the longest suffix that fits.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from acide.core import (
     AllocationPlan,
@@ -25,10 +25,6 @@ from acide.core import (
     plan_to_dict,
     sort_peers,
 )
-
-# 2^N subsets are enumerated; beyond this the oracle refuses.
-MAX_ORACLE_CANDIDATES = 16
-
 
 class InsufficientBudgetError(ValueError):
     """The budget is below the livestream bandwidth, so not even one peer fits."""
@@ -73,30 +69,45 @@ class AdmissionOutcome:
     rejected: tuple[PeerProfile, ...]
 
 
+def _first_kept(
+    ordered: Sequence[PeerProfile], stream: StreamParams, fits: Callable[[float], bool]
+) -> int:
+    """Index of the first peer kept: the smallest r whose suffix ordered[r:] fits.
+
+    `ordered` is sorted ascending by upload and `fits` is a predicate on a
+    suffix's allocated_bandwidth that holds for every cost at or below some
+    threshold. Suffix costs fall as r grows, so the predicate is monotone in
+    r and a bisection over O(log N) suffixes finds the same r as a scan.
+    Returns len(ordered) when no suffix fits.
+    """
+    return bisect.bisect_left(
+        range(len(ordered)), True, key=lambda r: fits(allocated_bandwidth(ordered[r:], stream))
+    )
+
+
 def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
     """Admit the largest suffix of the upload-sorted candidates that fits the budget.
 
-    Starting from all N candidates, the required optimal bandwidth is
-    computed; while it exceeds the budget the lowest-upload candidate is
-    removed and the bandwidth recomputed. An infeasible remainder (no valid
-    allocation) counts as requiring infinite bandwidth, so removal continues
-    through it. Raises InsufficientBudgetError when even a single peer does
-    not fit, i.e. the budget is below the livestream bandwidth.
+    The admitted set is the shortest run of lowest-upload candidates whose
+    removal brings the required optimal bandwidth within the budget. An
+    infeasible remainder (no valid allocation) counts as requiring infinite
+    bandwidth, so it never fits. Raises InsufficientBudgetError when even a
+    single peer does not fit, i.e. the budget is below the livestream
+    bandwidth.
     """
     ordered = sort_peers(budget.candidates)
     cap = budget.given_allocated_bandwidth
-    for removed in range(len(ordered)):
-        remaining = ordered[removed:]
-        required = allocated_bandwidth(remaining, budget.stream)
-        if required <= cap:
-            plan = min_bandwidth(remaining, budget.stream)
-            return AdmissionOutcome(
-                admitted=tuple(remaining),
-                plan=plan,
-                efficiency=plan.total_bandwidth / cap,
-                rejected=tuple(ordered[:removed]),
-            )
-    raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
+    removed = _first_kept(ordered, budget.stream, lambda required: required <= cap)
+    if removed == len(ordered):
+        raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
+    remaining = ordered[removed:]
+    plan = min_bandwidth(remaining, budget.stream)
+    return AdmissionOutcome(
+        admitted=tuple(remaining),
+        plan=plan,
+        efficiency=plan.total_bandwidth / cap,
+        rejected=tuple(ordered[:removed]),
+    )
 
 
 def admitted_upper_bound(
@@ -115,51 +126,6 @@ def admitted_upper_bound(
         )
     sum_upload = sum(p.upload for p in candidates)
     return 1.0 + sum_upload / rate - sum_upload / bw
-
-
-def brute_force_admission(budget: AdmissionBudget) -> AdmissionOutcome:
-    """Exhaustive admission oracle for small candidate pools.
-
-    Enumerates every non-empty subset, keeps those whose optimal bandwidth is
-    feasible and within budget, and returns the best by (max cardinality,
-    min bandwidth, lexicographically smallest sorted id list). Deterministic,
-    and exponential: refuses more than MAX_ORACLE_CANDIDATES candidates.
-
-    Subsets are taken from the upload-sorted candidate list so each set's
-    bandwidth is summed in canonical order; a set's cost is then the same
-    float the greedy loop computes for it, keeping the two admission routes
-    consistent even for budgets that sit exactly on a set's cost.
-    """
-    candidates = sort_peers(budget.candidates)
-    n = len(candidates)
-    if n > MAX_ORACLE_CANDIDATES:
-        raise ValueError(
-            f"brute-force admission enumerates 2^N subsets; "
-            f"{n} candidates exceeds the cap of {MAX_ORACLE_CANDIDATES}"
-        )
-    cap = budget.given_allocated_bandwidth
-    best_key: tuple[int, float, tuple[str, ...]] | None = None
-    best_subset: list[PeerProfile] | None = None
-    for mask in range(1, 1 << n):
-        subset = [candidates[i] for i in range(n) if mask >> i & 1]
-        required = allocated_bandwidth(subset, budget.stream)
-        if required > cap:
-            continue
-        key = (-len(subset), required, tuple(sorted(p.id for p in subset)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_subset = subset
-    if best_subset is None:
-        raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
-    plan = min_bandwidth(best_subset, budget.stream)
-    chosen = {p.id for p in best_subset}
-    rejected = tuple(p for p in candidates if p.id not in chosen)
-    return AdmissionOutcome(
-        admitted=plan.peers,
-        plan=plan,
-        efficiency=plan.total_bandwidth / cap,
-        rejected=rejected,
-    )
 
 
 def outcome_to_dict(outcome: AdmissionOutcome) -> dict:

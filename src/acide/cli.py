@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -75,6 +76,10 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
+def _positive_finite(*values: float) -> bool:
+    return all(v > 0 and math.isfinite(v) for v in values)
+
+
 def load_peers_csv(path: str) -> list[PeerProfile]:
     """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional."""
     peers = []
@@ -100,9 +105,10 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
                     ) from None
                 if not ident:
                     raise ParseInputError(f"{path}:{lineno}: empty peer id")
-                if upload <= 0 or download <= 0:
+                if not _positive_finite(upload, download):
                     raise ParseInputError(
-                        f"{path}:{lineno}: bandwidths must be positive, got {upload}, {download}"
+                        f"{path}:{lineno}: bandwidths must be positive and finite, "
+                        f"got {upload}, {download}"
                     )
                 peers.append(PeerProfile(id=ident, upload=upload, download=download))
     except OSError as exc:
@@ -144,9 +150,10 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
             download = float(item["d_bps"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseInputError(f"{path}: peer #{i + 1} is malformed: {exc}") from exc
-        if upload <= 0 or download <= 0:
+        if not _positive_finite(upload, download):
             raise ParseInputError(
-                f"{path}: peer #{i + 1}: bandwidths must be positive, got {upload}, {download}"
+                f"{path}: peer #{i + 1}: bandwidths must be positive and finite, "
+                f"got {upload}, {download}"
             )
         peers.append(PeerProfile(id=ident, upload=upload, download=download))
     if not peers:

@@ -7,6 +7,8 @@ blocks over direct peer-to-peer links in n-1 barrier-synchronised steps
 (phase 2). Given the peers' upload capacities, this module computes the block
 sizes and per-peer phase-1 bandwidths that minimise the total base-station
 bandwidth while the whole distribution still finishes within the delay bound.
+Both are closed forms: block i is S*u_i/sum(u), and the total bandwidth is
+S / (T - (n-1)*S/sum(u)).
 
 Units throughout: sizes in bits, bandwidths in bits/second, times in seconds.
 All derived quantities are double-precision floats; equality checks use a
@@ -16,6 +18,7 @@ relative tolerance of 1e-9 with a 1e-12 absolute floor for near-zero values.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +26,7 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 # Violation codes reported by validate_cluster.
+DUPLICATE_ID = "duplicate-id"
 UPLOAD_OVER_DOWNLOAD = "upload-over-download"
 STREAM_OVER_CLUSTER_DOWNLOAD = "stream-over-cluster-download"
 UPLOAD_OVER_MIN_DOWNLOAD = "upload-over-min-download"
@@ -61,26 +65,14 @@ class StreamParams:
     delay_bound: float
 
     def __post_init__(self) -> None:
-        if self.package_size <= 0:
-            raise ValueError(f"package_size must be positive, got {self.package_size}")
-        if self.delay_bound <= 0:
-            raise ValueError(f"delay_bound must be positive, got {self.delay_bound}")
+        if not (self.package_size > 0 and math.isfinite(self.package_size)):
+            raise ValueError(f"package_size must be positive and finite, got {self.package_size}")
+        if not (self.delay_bound > 0 and math.isfinite(self.delay_bound)):
+            raise ValueError(f"delay_bound must be positive and finite, got {self.delay_bound}")
 
     @property
     def livestream_bandwidth(self) -> float:
         return self.package_size / self.delay_bound
-
-
-@dataclass(frozen=True)
-class AlphaCoefficients:
-    """Diagonal coefficients of the block-size system, positions 2..n.
-
-    For peers sorted ascending by upload, the k-th coefficient is the sum of
-    the first k uploads divided by the k-th upload. Every value is >= 1
-    because the sum includes the k-th upload itself.
-    """
-
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -151,6 +143,7 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     Report-only: never raises for a bad cluster, only for an empty peer list.
     Checked conditions, in order:
 
+      * no two peers share an id
       * every peer's upload is at most its download
       * the livestream bandwidth is strictly below the cluster's download total
       * every peer's upload is at most every peer's download
@@ -166,6 +159,11 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     downloads = [p.download for p in peer_list]
     violations: list[AssumptionViolation] = []
 
+    repeated = sorted(i for i, count in Counter(p.id for p in peer_list).items() if count > 1)
+    if repeated:
+        violations.append(
+            AssumptionViolation(DUPLICATE_ID, f"peer id(s) given more than once: {', '.join(repeated)}")
+        )
     bad = [p.id for p in peer_list if p.upload > p.download]
     if bad:
         violations.append(
@@ -210,50 +208,6 @@ def sort_peers(peers: Iterable[PeerProfile]) -> list[PeerProfile]:
     return sorted(peers, key=lambda p: (p.upload, p.download, p.id))
 
 
-def alpha_coefficients(sorted_peers: Sequence[PeerProfile]) -> AlphaCoefficients:
-    """Coefficients for positions 2..n of an upload-sorted cluster; empty for n=1."""
-    if not sorted_peers:
-        raise ValueError("alpha_coefficients requires at least one peer")
-    values = []
-    prefix = sorted_peers[0].upload
-    if prefix <= 0:
-        raise ValueError(f"peer {sorted_peers[0].id} has non-positive upload")
-    for peer in sorted_peers[1:]:
-        if peer.upload <= 0:
-            raise ValueError(f"peer {peer.id} has non-positive upload")
-        prefix += peer.upload
-        values.append(prefix / peer.upload)
-    return AlphaCoefficients(tuple(values))
-
-
-def solve_block_sizes(sorted_peers: Sequence[PeerProfile], params: StreamParams) -> list[float]:
-    """Solve the triangular block-size system by back-substitution.
-
-    With a_k the alpha coefficient for position k, block sizes satisfy
-
-        s_1 + s_2 + ... + s_n           = S      (conservation row)
-        a_k * s_k + s_(k+1) + ... + s_n = S      for k = 2..n
-
-    Solved bottom-up in linear time with a running suffix sum:
-    s_n = S/a_n, then s_k = (S - suffix)/a_k down to k=2, and the
-    conservation row fixes s_1. The unique solution is proportional to the
-    uploads, so every size is strictly positive.
-    """
-    n = len(sorted_peers)
-    if n == 0:
-        raise ValueError("solve_block_sizes requires at least one peer")
-    alphas = alpha_coefficients(sorted_peers).values
-    total = params.package_size
-    sizes = [0.0] * n
-    suffix = 0.0
-    for k in range(n, 1, -1):
-        s_k = (total - suffix) / alphas[k - 2]
-        sizes[k - 1] = s_k
-        suffix += s_k
-    sizes[0] = total - suffix
-    return sizes
-
-
 def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParams) -> float:
     """Minimum total base-station bandwidth for this cluster, or inf if infeasible.
 
@@ -279,26 +233,29 @@ def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParam
 def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> AllocationPlan:
     """Compute the bandwidth-minimal allocation plan for a cluster.
 
-    Sorts the peers ascending by upload, solves the block-size system, and
-    derives the timing split: phase 2 needs (n-1)*S/sum_uploads seconds for
-    the n-1 exchange steps, phase 1 gets the rest of the delay bound, and
-    each peer's phase-1 bandwidth is its block size over the phase-1 time,
-    making all phase-1 transfers finish together.
+    Sorts the peers ascending by upload and gives each peer a block
+    proportional to its upload, S*u_i/sum_uploads. Phase 2 needs
+    (n-1)*S/sum_uploads seconds for the n-1 exchange steps, phase 1 gets the
+    rest of the delay bound, and each peer's phase-1 bandwidth is its block
+    size over the phase-1 time, making all phase-1 transfers finish together.
+    The upload total is summed in the same order as allocated_bandwidth sums
+    it, so phase1_time is the same float that total_bandwidth divides by.
 
-    Raises InfeasibleClusterError when no allocation can meet the delay
-    bound (callers admitting peers catch this to shrink the cluster).
+    Raises InfeasibleClusterError when no allocation can meet the delay bound.
     """
     ordered = sort_peers(peers)
     n = len(ordered)
     if n == 0:
         raise ValueError("min_bandwidth requires at least one peer")
     total = allocated_bandwidth(ordered, params)
+    sum_upload = 0.0
+    for peer in ordered:
+        sum_upload += peer.upload
     if math.isinf(total):
-        raise InfeasibleClusterError(n, sum(p.upload for p in ordered), params)
-    sizes = solve_block_sizes(ordered, params)
-    sum_upload = sum(p.upload for p in ordered)
+        raise InfeasibleClusterError(n, sum_upload, params)
     phase2 = (n - 1) * params.package_size / sum_upload
     phase1 = params.delay_bound - phase2
+    sizes = [params.package_size * p.upload / sum_upload for p in ordered]
     bandwidths = [s / phase1 for s in sizes]
     return AllocationPlan(
         peers=tuple(ordered),

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
-from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
+from acide.admission import AdmissionBudget, InsufficientBudgetError, _first_kept, join_cluster
 from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
 
 DEFAULT_SEED = 42
@@ -234,16 +234,6 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
     return records
 
 
-def _max_feasible_bandwidth(pool: Sequence[PeerProfile], stream: StreamParams) -> float:
-    """Bandwidth needed by the largest admissible suffix of the sorted pool."""
-    ordered = sort_peers(pool)
-    for removed in range(len(ordered)):
-        required = allocated_bandwidth(ordered[removed:], stream)
-        if math.isfinite(required):
-            return required
-    raise AssertionError("a single peer is always feasible")
-
-
 def admitted_vs_budget_curve(
     size: int,
     livestream_bandwidth: float,
@@ -256,9 +246,11 @@ def admitted_vs_budget_curve(
 
     The budget grid spans the livestream bandwidth (everything below it
     admits nobody) up to the bandwidth of the largest admissible group, with
-    one grid point per candidate, endpoints included. The resulting n values
-    are non-decreasing in the budget. Ranges default to the bundled
-    per-size ranges.
+    one grid point per candidate, endpoints included. The pool comes out of
+    generate_peers sorted by upload, so each point's n is one bisection over
+    its suffixes, as in join_cluster. The resulting n values are
+    non-decreasing in the budget. Ranges default to the bundled per-size
+    ranges.
     """
     if upload_range is None or download_range is None:
         if size not in DEFAULT_UPLOAD_RANGES:
@@ -270,17 +262,17 @@ def admitted_vs_budget_curve(
     pool = generate_peers(size, upload_range, download_range, seed)
     stream = StreamParams(package_size=livestream_bandwidth * delay_bound, delay_bound=delay_bound)
     low = stream.livestream_bandwidth
-    high = _max_feasible_bandwidth(pool, stream)
+    first_feasible = _first_kept(pool, stream, math.isfinite)
+    high = allocated_bandwidth(pool[first_feasible:], stream)
     if size == 1:
         grid = [high]
     else:
         grid = [low + (high - low) * i / (size - 1) for i in range(size)]
         grid[0], grid[-1] = low, high
-    curve = []
-    for budget in grid:
-        outcome = join_cluster(AdmissionBudget(budget, tuple(pool), stream))
-        curve.append((budget, len(outcome.admitted)))
-    return curve
+    return [
+        (budget, size - _first_kept(pool, stream, lambda required: required <= budget))
+        for budget in grid
+    ]
 
 
 def baseline_bandwidths(n: int, stream: StreamParams) -> tuple[float, float]:

@@ -1,32 +1,68 @@
 """Independent oracles used by the tests.
 
-These recompute expected values straight from definitions, without calling
-the library's solver paths, so they stay meaningful as checks against them.
+These recompute expected values straight from definitions: the block-size
+system the closed form solves, exact rational arithmetic, and exhaustive or
+linear searches in place of the library's bisection. The admission oracles
+price each candidate set with allocated_bandwidth, the library's one
+expression for a cluster's requirement, so a budget that sits exactly on a
+set's cost is judged by the same float on both sides.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
+
+from acide.admission import AdmissionBudget, AdmissionOutcome, InsufficientBudgetError
+from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
+
+# 2^N subsets are enumerated; beyond this the oracle refuses.
+MAX_ORACLE_CANDIDATES = 16
 
 
-def system_rows(uploads: list[float], sizes: list[float]) -> list[float]:
+@dataclass(frozen=True)
+class AlphaCoefficients:
+    """Diagonal coefficients of the block-size system, positions 2..n.
+
+    For peers sorted ascending by upload, the k-th coefficient is the sum of
+    the first k uploads divided by the k-th upload. Every value is >= 1
+    because the sum includes the k-th upload itself.
+    """
+
+    values: tuple[float, ...]
+
+
+def alpha_coefficients(sorted_peers: Sequence[PeerProfile]) -> AlphaCoefficients:
+    """Coefficients for positions 2..n of an upload-sorted cluster; empty for n=1."""
+    if not sorted_peers:
+        raise ValueError("alpha_coefficients requires at least one peer")
+    values = []
+    prefix = sorted_peers[0].upload
+    if prefix <= 0:
+        raise ValueError(f"peer {sorted_peers[0].id} has non-positive upload")
+    for peer in sorted_peers[1:]:
+        if peer.upload <= 0:
+            raise ValueError(f"peer {peer.id} has non-positive upload")
+        prefix += peer.upload
+        values.append(prefix / peer.upload)
+    return AlphaCoefficients(tuple(values))
+
+
+def system_rows(sorted_peers: Sequence[PeerProfile], sizes: Sequence[float]) -> list[float]:
     """Left-hand side of every row of the block-size system, evaluated at `sizes`.
 
     Row 1 is the conservation row sum(sizes); row k (k >= 2) is
-    (sum of first k uploads / k-th upload) * s_k + sum of the sizes after k.
-    A correct solution makes every row equal the package size. Prefix and
-    suffix sums keep the evaluation linear in the cluster size.
+    alpha_k * s_k + sum of the sizes after k, with alpha_k from
+    alpha_coefficients. A correct solution makes every row equal the package
+    size. A suffix sum keeps the evaluation linear in the cluster size.
     """
-    n = len(uploads)
+    n = len(sorted_peers)
     suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i]
-    rows = [suffix[0]]
-    prefix_upload = uploads[0]
-    for k in range(2, n + 1):
-        prefix_upload += uploads[k - 1]
-        rows.append(prefix_upload / uploads[k - 1] * sizes[k - 1] + suffix[k])
-    return rows
+    alphas = alpha_coefficients(sorted_peers).values
+    return [suffix[0]] + [alphas[k - 2] * sizes[k - 1] + suffix[k] for k in range(2, n + 1)]
 
 
 def proportional_sizes(uploads: list[float], package_size: float) -> list[float]:
@@ -80,3 +116,56 @@ def dense_block_sizes_exact(uploads: list[float], package_size: float) -> list[f
             acc -= matrix[i][j] * solution[j]
         solution[i] = acc / matrix[i][i]
     return [float(v) for v in solution]
+
+
+def linear_suffix_scan(ordered: Sequence[PeerProfile], stream: StreamParams, cap: float) -> int:
+    """Number of lowest uploaders a drop-the-weakest scan removes; len(ordered) if none fit."""
+    for removed in range(len(ordered)):
+        if allocated_bandwidth(ordered[removed:], stream) <= cap:
+            return removed
+    return len(ordered)
+
+
+def brute_force_admission(budget: AdmissionBudget) -> AdmissionOutcome:
+    """Exhaustive admission oracle for small candidate pools.
+
+    Enumerates every non-empty subset, keeps those whose optimal bandwidth is
+    feasible and within budget, and returns the best by (max cardinality,
+    min bandwidth, lexicographically smallest sorted id list). Deterministic,
+    and exponential: refuses more than MAX_ORACLE_CANDIDATES candidates.
+
+    Subsets are taken from the upload-sorted candidate list so each set's
+    bandwidth is summed in canonical order; a set's cost is then the same
+    float the greedy search computes for it, keeping the two admission routes
+    consistent even for budgets that sit exactly on a set's cost.
+    """
+    candidates = sort_peers(budget.candidates)
+    n = len(candidates)
+    if n > MAX_ORACLE_CANDIDATES:
+        raise ValueError(
+            f"brute-force admission enumerates 2^N subsets; "
+            f"{n} candidates exceeds the cap of {MAX_ORACLE_CANDIDATES}"
+        )
+    cap = budget.given_allocated_bandwidth
+    best_key: tuple[int, float, tuple[str, ...]] | None = None
+    best_subset: list[PeerProfile] | None = None
+    for mask in range(1, 1 << n):
+        subset = [candidates[i] for i in range(n) if mask >> i & 1]
+        required = allocated_bandwidth(subset, budget.stream)
+        if required > cap:
+            continue
+        key = (-len(subset), required, tuple(sorted(p.id for p in subset)))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_subset = subset
+    if best_subset is None:
+        raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
+    plan = min_bandwidth(best_subset, budget.stream)
+    chosen = {p.id for p in best_subset}
+    rejected = tuple(p for p in candidates if p.id not in chosen)
+    return AdmissionOutcome(
+        admitted=plan.peers,
+        plan=plan,
+        efficiency=plan.total_bandwidth / cap,
+        rejected=rejected,
+    )

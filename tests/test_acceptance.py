@@ -19,14 +19,12 @@ import pytest
 from acide.admission import (
     AdmissionBudget,
     admitted_upper_bound,
-    brute_force_admission,
     join_cluster,
 )
 from acide.core import (
     StreamParams,
     allocated_bandwidth,
     min_bandwidth,
-    solve_block_sizes,
     sort_peers,
 )
 from acide.experiments import (
@@ -39,7 +37,12 @@ from acide.experiments import (
     write_records_csv,
 )
 from acide.sim import build_schedule, simulate
-from oracles import proportional_sizes, system_rows, total_bandwidth_closed_form
+from oracles import (
+    brute_force_admission,
+    proportional_sizes,
+    system_rows,
+    total_bandwidth_closed_form,
+)
 
 REL = 1e-9
 CORPUS_SIZES = (5, 10, 15, 20, 40, 60, 80, 100, 120)
@@ -108,9 +111,9 @@ def test_criterion_2_solver_oracle_equivalence(corpus):
         assert max(len(c) for c in corpus) == 120
         package = STREAM.package_size
         for peers in corpus:
-            sizes = solve_block_sizes(peers, STREAM)
+            sizes = min_bandwidth(peers, STREAM).block_sizes
             uploads = [p.upload for p in peers]
-            for row in system_rows(uploads, sizes):
+            for row in system_rows(peers, sizes):
                 assert abs(row - package) / package < REL
             for got, want in zip(sizes, proportional_sizes(uploads, package)):
                 assert _rel_err(got, want) < REL

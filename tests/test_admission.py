@@ -9,10 +9,10 @@ from acide.admission import (
     AdmissionBudget,
     InsufficientBudgetError,
     admitted_upper_bound,
-    brute_force_admission,
     join_cluster,
 )
 from acide.core import PeerProfile, StreamParams, close, sort_peers
+from oracles import brute_force_admission
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
 

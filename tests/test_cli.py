@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,13 @@ class TestSolve:
         assert code == 2
         assert "error[parse]" in capsys.readouterr().err
 
+    def test_nan_delay_is_validation_error(self, peers_csv, capsys):
+        code = main(["solve", "--input", peers_csv, "--livestream-bps", "10000", "--delay-ms", "nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[validation]" in captured.err
+        assert captured.out == ""
+
 
 class TestAdmit:
     def test_budget_forces_unicast(self, peers_csv, capsys):
@@ -155,6 +163,25 @@ class TestAdmit:
         assert code == 3
         assert "error[insufficient-budget]" in err
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("inf.csv", "id,u_bps,d_bps\na,10000,20000\nb,15000,30000\nx,inf,inf\n"),
+            ("inf.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": "x", "u_bps": Infinity, "d_bps": Infinity}]'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_infinite_upload_is_parse_error(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code = main(
+            ["admit", "--input", str(path), "--budget-bps", "10000", "--livestream-bps", "10000"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[parse]" in captured.err
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_trace_written_and_continuous(self, peers_csv, tmp_path, capsys):
@@ -183,6 +210,25 @@ class TestSimulate:
         assert code == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["makespan_s"] == pytest.approx(0.2, rel=1e-9)
+
+    def test_nan_upload_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("id,u_bps,d_bps\na,nan,20000\nb,15000,30000\nc,20000,40000\n", encoding="utf-8")
+        code = main(["simulate", "--input", str(path), "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[parse]" in captured.err
+        assert "nan.csv:2" in captured.err
+        assert captured.out == ""
+
+    def test_duplicate_ids_are_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,u_bps,d_bps\na,10000,20000\na,15000,30000\nc,20000,40000\n", encoding="utf-8")
+        code = main(["simulate", "--input", str(path), "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[validation:duplicate-id]" in captured.err
+        assert captured.out == ""
 
 
 class TestSweep:
@@ -274,3 +320,31 @@ class TestCurveAndProfile:
         )
         assert code == 2
         assert "error[validation]" in capsys.readouterr().err
+
+
+# SHA-256 of the sweep and curve outputs at seed 42. A refactor of the solver
+# or of admission must leave these bytes unchanged; two runs of the same code
+# agreeing (acceptance criterion 7) cannot show that.
+PINNED_DIGESTS = {
+    "sweep.csv": "d4ac228ca35d3c92e9ad18f5b10b03a97e4da9a2cc69753359fe53011af9738d",
+    "sweep.json": "2083f9206bb69d240326beb46325ae5a248d427a6a0f9cbadbcd88c34ad97949",
+    "curve_n5.csv": "2f8d006d48bae4cf328ca6f168ac81c0439dff7a9084abb16dbaf2eb812ca99b",
+    "curve_n20.csv": "af1354f1c859537ba141b185cc22205c485061d8e9a8c242bac87000d37bc0d1",
+    "curve_n60.csv": "ed718d81373492dccf7d214820283c613d7114b42116b44bae5fa01aa25a5647",
+    "curve_n120.csv": "445ab7a99f87ce97359e37e257c1aca5fc34225458eb82e8b13fc3fc4634f4d5",
+    "curve_n5.json": "0077bf12cbe7a038be6e75ed8c5b61653e04d0bd1818971b5142b6285cb7c708",
+    "curve_n20.json": "66ae7a4c60d5b4cff137e0b61f47210e3c848c0ef0f06dfc2d7d9efed94a1985",
+    "curve_n60.json": "93fde8bc5fcad1dfad539ca6e923e8ff850c14ad82db98326de9107af49a91ea",
+    "curve_n120.json": "d98f4b0151d54d9569845e93f6eb7f863b3d6c362e600975fdc2c1c029d92d19",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_and_curve_outputs_match_pinned_digests(tmp_path, fmt):
+    sweep = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", "--seed", "42", "--format", fmt, "--output", str(sweep)]) == 0
+    curve_args = ["--sizes", "5", "20", "60", "120", "--livestream-bps", "10000", "--seed", "42"]
+    assert main(["curve", *curve_args, "--format", fmt, "--output", str(tmp_path / f"curve.{fmt}")]) == 0
+    for name, digest in PINNED_DIGESTS.items():
+        if name.endswith(fmt):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from acide.core import (
+    DUPLICATE_ID,
     STREAM_OVER_CLUSTER_DOWNLOAD,
     STREAM_OVER_MEAN_UPLOAD,
     UPLOAD_OVER_DOWNLOAD,
@@ -14,14 +15,13 @@ from acide.core import (
     PeerProfile,
     StreamParams,
     allocated_bandwidth,
-    alpha_coefficients,
     close,
     min_bandwidth,
-    solve_block_sizes,
     sort_peers,
     validate_cluster,
 )
 from oracles import (
+    alpha_coefficients,
     dense_block_sizes_exact,
     proportional_sizes,
     system_rows,
@@ -54,6 +54,13 @@ class TestStreamParams:
 
     @pytest.mark.parametrize("package,delay", [(0, 0.2), (-1, 0.2), (2000, 0), (2000, -0.5)])
     def test_rejects_non_positive(self, package, delay):
+        with pytest.raises(ValueError):
+            StreamParams(package_size=package, delay_bound=delay)
+
+    @pytest.mark.parametrize(
+        "package,delay", [(math.nan, 0.2), (math.inf, 0.2), (2000, math.nan), (2000, math.inf)]
+    )
+    def test_rejects_non_finite(self, package, delay):
         with pytest.raises(ValueError):
             StreamParams(package_size=package, delay_bound=delay)
 
@@ -100,6 +107,12 @@ class TestValidateCluster:
         with pytest.raises(ValueError):
             validate_cluster([], STREAM)
 
+    def test_duplicate_ids_reported(self):
+        peers = [peer("a", 10000.0), peer("a", 15000.0), peer("c", 20000.0), peer("c", 20000.0)]
+        report = validate_cluster(peers, STREAM)
+        assert report.codes() == [DUPLICATE_ID]
+        assert "a, c" in report.violations[0].message
+
 
 class TestSortPeers:
     def test_orders_by_upload(self):
@@ -145,37 +158,37 @@ class TestAlphaCoefficients:
 
 class TestSolveBlockSizes:
     def test_three_peer_example(self):
-        sizes = solve_block_sizes(sort_peers(TRIO), STREAM)
+        sizes = min_bandwidth(sort_peers(TRIO), STREAM).block_sizes
         expected = [2000.0 * u / 45000.0 for u in (10000.0, 15000.0, 20000.0)]
         assert all(close(s, e) for s, e in zip(sizes, expected))
 
     def test_single_peer_gets_package(self):
-        assert solve_block_sizes([peer("solo", 10000.0)], STREAM) == [2000.0]
+        assert list(min_bandwidth([peer("solo", 10000.0)], STREAM).block_sizes) == [2000.0]
 
     def test_equal_uploads_split_evenly(self):
         peers = [peer(f"p{i}", 15000.0) for i in range(4)]
-        sizes = solve_block_sizes(sort_peers(peers), STREAM)
+        sizes = min_bandwidth(sort_peers(peers), STREAM).block_sizes
         assert all(close(s, 500.0) for s in sizes)
 
     def test_satisfies_every_system_row(self):
         rng = random.Random(31)
         for _ in range(100):
             peers = random_cluster(rng, rng.randint(1, 60), (10000, 70000), (70000, 130000))
-            sizes = solve_block_sizes(peers, STREAM)
-            for row in system_rows([p.upload for p in peers], sizes):
+            sizes = min_bandwidth(peers, STREAM).block_sizes
+            for row in system_rows(peers, sizes):
                 assert abs(row - STREAM.package_size) / STREAM.package_size < 1e-9
 
     def test_matches_exact_rational_dense_solve(self):
         rng = random.Random(55)
         for _ in range(25):
             peers = random_cluster(rng, rng.randint(1, 12), (10000, 50000), (50000, 90000))
-            got = solve_block_sizes(peers, STREAM)
+            got = min_bandwidth(peers, STREAM).block_sizes
             want = dense_block_sizes_exact([p.upload for p in peers], STREAM.package_size)
             assert all(close(g, w) for g, w in zip(got, want))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            solve_block_sizes([], STREAM)
+            min_bandwidth([], STREAM)
 
 
 class TestAllocatedBandwidth:

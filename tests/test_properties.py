@@ -1,0 +1,73 @@
+"""Property tests: bisected admission and closed-form block sizes against oracles.
+
+Uploads span 1e-3 to 1e12 bps, pools run from a single peer up, and some
+pools are built from a few repeated values so that uploads tie. Examples are
+derandomised so the suite gives the same verdict on every run.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
+from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
+from oracles import linear_suffix_scan
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+DELAY = 0.2
+
+bandwidths = st.floats(min_value=1e-3, max_value=1e12, allow_nan=False, allow_infinity=False)
+upload_lists = st.one_of(
+    st.lists(bandwidths, min_size=1, max_size=12),
+    st.lists(bandwidths, min_size=1, max_size=3).flatmap(
+        lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=12)
+    ),
+)
+
+
+def as_pool(uploads: list[float]) -> tuple[PeerProfile, ...]:
+    return tuple(PeerProfile(f"p{i:02d}", u, u) for i, u in enumerate(uploads))
+
+
+@st.composite
+def boundary_budgets(draw, ordered, stream):
+    """A suffix's exact cost, or one float step either side of it."""
+    cost = allocated_bandwidth(ordered[draw(st.integers(0, len(ordered) - 1)) :], stream)
+    if math.isinf(cost):
+        cost = draw(bandwidths)
+    return draw(st.sampled_from([cost, math.nextafter(cost, 0.0), math.nextafter(cost, math.inf)]))
+
+
+@PROPERTY
+@given(uploads=upload_lists, rate=bandwidths, data=st.data())
+def test_join_cluster_admits_what_a_linear_scan_admits(uploads, rate, data):
+    pool = as_pool(uploads)
+    ordered = sort_peers(pool)
+    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
+    cap = data.draw(st.one_of(boundary_budgets(ordered, stream), bandwidths))
+    removed = linear_suffix_scan(ordered, stream, cap)
+    budget = AdmissionBudget(cap, pool, stream)
+    if removed == len(ordered):
+        with pytest.raises(InsufficientBudgetError):
+            join_cluster(budget)
+        return
+    outcome = join_cluster(budget)
+    assert outcome.rejected == tuple(ordered[:removed])
+    assert outcome.admitted == tuple(ordered[removed:])
+
+
+@PROPERTY
+@given(uploads=upload_lists, rate_share=st.floats(min_value=1e-3, max_value=1.0))
+def test_block_sizes_match_exact_proportional_split(uploads, rate_share):
+    # A stream no faster than the slowest upload is feasible for any cluster.
+    stream = StreamParams(package_size=min(uploads) * rate_share * DELAY, delay_bound=DELAY)
+    plan = min_bandwidth(as_pool(uploads), stream)
+    exact_total = sum((Fraction(p.upload) for p in plan.peers), Fraction(0))
+    for peer, size in zip(plan.peers, plan.block_sizes):
+        want = Fraction(stream.package_size) * Fraction(peer.upload) / exact_total
+        assert abs(Fraction(size) - want) <= want * Fraction(1, 10**9)
