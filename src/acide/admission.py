@@ -22,7 +22,6 @@ from acide.core import (
     StreamParams,
     allocated_bandwidth,
     min_bandwidth,
-    plan_to_dict,
     sort_peers,
 )
 
@@ -127,13 +126,3 @@ def admitted_upper_bound(
     sum_upload = sum(p.upload for p in candidates)
     return 1.0 + sum_upload / rate - sum_upload / bw
 
-
-def outcome_to_dict(outcome: AdmissionOutcome) -> dict:
-    """JSON-ready representation of an admission outcome."""
-    return {
-        "admitted_ids": [p.id for p in outcome.admitted],
-        "rejected_ids": [p.id for p in outcome.rejected],
-        "efficiency": outcome.efficiency,
-        "efficiency_pct": outcome.efficiency * 100.0,
-        "plan": plan_to_dict(outcome.plan),
-    }

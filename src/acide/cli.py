@@ -15,23 +15,20 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
-from io import StringIO
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from acide.admission import (
-    AdmissionBudget,
-    InsufficientBudgetError,
-    join_cluster,
-    outcome_to_dict,
-)
+from acide import output
+from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
 from acide.core import (
+    DUPLICATE_ID,
+    UPLOAD_OVER_DOWNLOAD,
     InfeasibleClusterError,
     PeerProfile,
     StreamParams,
     min_bandwidth,
-    plan_to_dict,
     validate_cluster,
 )
 from acide.experiments import (
@@ -43,13 +40,9 @@ from acide.experiments import (
     block_size_profile,
     default_scenario,
     load_scenario,
-    records_to_dicts,
     run_admission_sweep,
-    write_curve_csv,
-    write_profile_csv,
-    write_records_csv,
 )
-from acide.sim import playback_check, simulate, write_trace_csv, write_trace_json
+from acide.sim import playback_check, simulate
 
 SEED_ENV_VAR = "ACIDE_SEED"
 
@@ -66,7 +59,10 @@ def _fail(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    """--seed, else the ACIDE_SEED environment variable, else the default seed."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -76,8 +72,33 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
-def _positive_finite(*values: float) -> bool:
-    return all(v > 0 and math.isfinite(v) for v in values)
+def _delay_s(args: argparse.Namespace, stream_info: dict | None = None) -> float:
+    """Delay bound in seconds: --delay-ms, else the input file's delay_ms, else 200 ms."""
+    delay_ms = args.delay_ms
+    if delay_ms is None and stream_info:
+        delay_ms = stream_info.get("delay_ms")
+    if delay_ms is None:
+        delay_ms = DEFAULT_DELAY_BOUND * 1000.0
+    return float(delay_ms) / 1000.0
+
+
+def _peer(where: str, ident, upload, download) -> PeerProfile:
+    """One row of a peer file, checked the same way for CSV and JSON.
+
+    The id must be present and non-blank, and both bandwidths positive,
+    finite numbers; `where` names the file and row in the error.
+    """
+    if ident is None or not str(ident).strip():
+        raise ParseInputError(f"{where}: empty peer id")
+    try:
+        u, d = float(upload), float(download)
+    except (TypeError, ValueError):
+        raise ParseInputError(
+            f"{where}: u_bps and d_bps must be numbers, got {upload!r}, {download!r}"
+        ) from None
+    if not (u > 0 and d > 0 and math.isfinite(u) and math.isfinite(d)):
+        raise ParseInputError(f"{where}: bandwidths must be positive and finite, got {u}, {d}")
+    return PeerProfile(id=str(ident), upload=u, download=d)
 
 
 def load_peers_csv(path: str) -> list[PeerProfile]:
@@ -94,23 +115,7 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
                     raise ParseInputError(
                         f"{path}:{lineno}: expected 3 fields id,u_bps,d_bps, got {len(row)}"
                     )
-                ident = row[0].strip()
-                try:
-                    upload = float(row[1])
-                    download = float(row[2])
-                except ValueError:
-                    raise ParseInputError(
-                        f"{path}:{lineno}: u_bps and d_bps must be numbers, got "
-                        f"{row[1]!r}, {row[2]!r}"
-                    ) from None
-                if not ident:
-                    raise ParseInputError(f"{path}:{lineno}: empty peer id")
-                if not _positive_finite(upload, download):
-                    raise ParseInputError(
-                        f"{path}:{lineno}: bandwidths must be positive and finite, "
-                        f"got {upload}, {download}"
-                    )
-                peers.append(PeerProfile(id=ident, upload=upload, download=download))
+                peers.append(_peer(f"{path}:{lineno}", row[0].strip(), row[1], row[2]))
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
     if not peers:
@@ -145,17 +150,10 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
     peers = []
     for i, item in enumerate(raw_peers):
         try:
-            ident = str(item["id"])
-            upload = float(item["u_bps"])
-            download = float(item["d_bps"])
-        except (KeyError, TypeError, ValueError) as exc:
+            ident, upload, download = item["id"], item["u_bps"], item["d_bps"]
+        except (KeyError, TypeError) as exc:
             raise ParseInputError(f"{path}: peer #{i + 1} is malformed: {exc}") from exc
-        if not _positive_finite(upload, download):
-            raise ParseInputError(
-                f"{path}: peer #{i + 1}: bandwidths must be positive and finite, "
-                f"got {upload}, {download}"
-            )
-        peers.append(PeerProfile(id=ident, upload=upload, download=download))
+        peers.append(_peer(f"{path}: peer #{i + 1}", ident, upload, download))
     if not peers:
         raise ParseInputError(f"{path}: no peers found")
     return peers, stream_info
@@ -173,12 +171,7 @@ def _resolve_stream(args: argparse.Namespace, stream_info: dict) -> StreamParams
     Flags override the file. Package size comes from --package-bits, or from
     --livestream-bps times the delay bound. The delay bound defaults to 200 ms.
     """
-    delay_ms = args.delay_ms
-    if delay_ms is None:
-        delay_ms = stream_info.get("delay_ms")
-    if delay_ms is None:
-        delay_ms = DEFAULT_DELAY_BOUND * 1000.0
-    delay_s = float(delay_ms) / 1000.0
+    delay_s = _delay_s(args, stream_info)
     if args.package_bits is not None:
         package = float(args.package_bits)
     elif args.livestream_bps is not None:
@@ -195,29 +188,36 @@ def _resolve_stream(args: argparse.Namespace, stream_info: dict) -> StreamParams
     return StreamParams(package_size=package, delay_bound=delay_s)
 
 
-def _report_violations(peers, stream) -> bool:
-    report = validate_cluster(peers, stream)
-    for v in report.violations:
+def _report_violations(peers, stream, codes: Sequence[str] | None = None) -> bool:
+    """Print every violated cluster assumption (only `codes`, when given); True if none."""
+    found = [v for v in validate_cluster(peers, stream).violations if codes is None or v.code in codes]
+    for v in found:
         _fail(f"validation:{v.code}", v.message)
-    return report.ok
+    return not found
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+def _write_output(
+    args: argparse.Namespace,
+    path: str | None,
+    columns: output.Columns,
+    rows: Iterable[Sequence],
+    document: Callable[[], dict] | None = None,
+) -> None:
+    """Write a command's table to `path` (stdout when None) in --format.
+
+    Commands whose JSON is a nested document rather than the table pass
+    `document`, which is only built when JSON is asked for.
+    """
+    fmt = args.format
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fp:
+        if document is not None and fmt == "json":
+            output.write_json(fp, document())
+        else:
+            output.write_table(fp, fmt, columns, rows)
 
 
 def _fmt_bw(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _plan_csv_text(plan) -> str:
-    lines = ["id,u_bps,d_bps,s_bits,bw_bps"]
-    for p, s, bw in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths):
-        lines.append(f"{p.id},{_fmt_bw(p.upload)},{_fmt_bw(p.download)},{s:.6f},{_fmt_bw(bw)}")
-    return "\n".join(lines) + "\n"
 
 
 def _print_plan(plan) -> None:
@@ -237,10 +237,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     plan = min_bandwidth(peers, stream)
     _print_plan(plan)
     if args.output:
-        if args.format == "json":
-            _write_text(args.output, json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n")
-        else:
-            _write_text(args.output, _plan_csv_text(plan))
+        _write_output(args, args.output, output.PLAN_COLUMNS, output.plan_rows(plan),
+                      lambda: output.plan_document(plan))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -248,11 +246,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_admit(args: argparse.Namespace) -> int:
     peers, stream_info = _load_peer_input(args.input)
     stream = _resolve_stream(args, stream_info)
-    # Candidates only need individually consistent links here; pool-level
-    # feasibility is what admission itself decides.
-    bad = [p.id for p in peers if p.upload > p.download]
-    if bad:
-        _fail("validation:upload-over-download", f"upload exceeds download for peer(s): {', '.join(bad)}")
+    # Candidates only need distinct ids and individually consistent links
+    # here; pool-level feasibility is what admission itself decides.
+    if not _report_violations(peers, stream, codes=(DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)):
         return EXIT_INVALID
     outcome = join_cluster(AdmissionBudget(float(args.budget_bps), tuple(peers), stream))
     print(f"admitted {len(outcome.admitted)} of {len(peers)} candidates")
@@ -264,12 +260,8 @@ def _cmd_admit(args: argparse.Namespace) -> int:
     if outcome.rejected:
         print(f"rejected: {', '.join(p.id for p in outcome.rejected)}")
     if args.output:
-        if args.format == "json":
-            _write_text(
-                args.output, json.dumps(outcome_to_dict(outcome), indent=2, sort_keys=True) + "\n"
-            )
-        else:
-            _write_text(args.output, _plan_csv_text(outcome.plan))
+        _write_output(args, args.output, output.PLAN_COLUMNS, output.plan_rows(outcome.plan),
+                      lambda: output.outcome_document(outcome))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -288,12 +280,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not report.continuous:
         print(f"worst peer: {report.worst_peer} overshoot {report.overshoot:.9f} s")
     if args.output:
-        buf = StringIO()
-        if args.format == "json":
-            write_trace_json(trace, buf)
-        else:
-            write_trace_csv(trace, buf)
-        _write_text(args.output, buf.getvalue())
+        _write_output(args, args.output, output.TRACE_COLUMNS, output.trace_rows(trace),
+                      lambda: output.trace_document(trace))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -314,16 +302,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 raise ValueError(f"scenario has no ranges for sizes {missing}")
             spec = replace(spec, cluster_sizes=tuple(args.sizes))
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
-        spec = default_scenario(cluster_sizes=args.sizes or None, seed=seed)
+        spec = default_scenario(cluster_sizes=args.sizes or None, seed=_seed(args))
     records = run_admission_sweep(spec)
-    buf = StringIO()
-    if args.format == "json":
-        json.dump(records_to_dicts(records), buf, indent=2, sort_keys=True)
-        buf.write("\n")
-    else:
-        write_records_csv(records, buf)
-    _write_text(args.output, buf.getvalue())
+    _write_output(args, args.output, output.RECORD_COLUMNS, output.record_rows(records))
     if args.output:
         print(f"wrote {len(records)} records to {args.output}")
     return EXIT_OK
@@ -335,27 +316,19 @@ def _suffixed(path: str, size: int) -> str:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    delay_s = (args.delay_ms if args.delay_ms is not None else DEFAULT_DELAY_BOUND * 1000.0) / 1000.0
+    seed, delay_s = _seed(args), _delay_s(args)
     for size in args.sizes:
         curve = admitted_vs_budget_curve(
             size, float(args.livestream_bps), seed, delay_bound=delay_s
         )
         out = _suffixed(args.output, size)
-        buf = StringIO()
-        if args.format == "json":
-            json.dump([{"BW_bps": b, "n": n} for b, n in curve], buf, indent=2, sort_keys=True)
-            buf.write("\n")
-        else:
-            write_curve_csv(curve, buf)
-        _write_text(out, buf.getvalue())
+        _write_output(args, out, output.CURVE_COLUMNS, curve)
         print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    delay_s = (args.delay_ms if args.delay_ms is not None else DEFAULT_DELAY_BOUND * 1000.0) / 1000.0
+    seed, delay_s = _seed(args), _delay_s(args)
     missing = [s for s in args.sizes if s not in DEFAULT_UPLOAD_RANGES]
     if missing:
         raise ValueError(f"no default ranges for sizes {missing}")
@@ -365,21 +338,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     for size in sorted(profiles):
         out = _suffixed(args.output, size)
-        buf = StringIO()
-        if args.format == "json":
-            json.dump(
-                [
-                    {"peer_index": i, "u_bps": u, "s_bits": s, "bw_bps": bw}
-                    for i, (u, s, bw) in enumerate(profiles[size], start=1)
-                ],
-                buf,
-                indent=2,
-                sort_keys=True,
-            )
-            buf.write("\n")
-        else:
-            write_profile_csv(profiles[size], buf)
-        _write_text(out, buf.getvalue())
+        _write_output(args, out, output.PROFILE_COLUMNS, output.profile_rows(profiles[size]))
         print(f"wrote {out}")
     return EXIT_OK
 

@@ -266,16 +266,3 @@ def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> Allocat
         phase2_time=phase2,
     )
 
-
-def plan_to_dict(plan: AllocationPlan) -> dict:
-    """JSON-ready representation of a plan."""
-    return {
-        "peers": [
-            {"id": p.id, "u_bps": p.upload, "d_bps": p.download} for p in plan.peers
-        ],
-        "block_bits": list(plan.block_sizes),
-        "peer_bandwidths_bps": list(plan.peer_bandwidths),
-        "total_bandwidth_bps": plan.total_bandwidth,
-        "phase1_s": plan.phase1_time,
-        "phase2_s": plan.phase2_time,
-    }

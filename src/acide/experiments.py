@@ -11,12 +11,11 @@ how much of the budget the admitted cluster actually needs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from acide.admission import AdmissionBudget, InsufficientBudgetError, _first_kept, join_cluster
 from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
@@ -67,10 +66,6 @@ DEFAULT_BUDGETS = (
 
 MAX_REDRAWS = 10000
 
-RECORD_COLUMNS = ("N", "livestream_bps", "BW_bps", "n_admitted", "bw_bps", "efficiency_pct")
-CURVE_COLUMNS = ("BW_bps", "n")
-PROFILE_COLUMNS = ("peer_index", "u_bps", "s_bits", "bw_bps")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -102,21 +97,25 @@ class ScenarioSpec:
             raise ValueError("scenario needs at least one cluster size")
         if not self.livestream_bandwidths or not self.budgets:
             raise ValueError("scenario needs livestream bandwidths and budgets")
-        if self.delay_bound <= 0:
-            raise ValueError(f"delay_bound must be positive, got {self.delay_bound}")
-        if any(v <= 0 for v in self.livestream_bandwidths):
-            raise ValueError("livestream bandwidths must be positive")
-        if any(b <= 0 for b in self.budgets):
-            raise ValueError("budgets must be positive")
+        for field, values in (
+            ("delay_bound", (self.delay_bound,)),
+            ("livestream_bandwidths", self.livestream_bandwidths),
+            ("budgets", self.budgets),
+        ):
+            for v in values:
+                if not (v > 0 and math.isfinite(v)):
+                    raise ValueError(f"{field} must be positive and finite, got {v}")
         for size in self.cluster_sizes:
             if size < 1:
                 raise ValueError(f"cluster sizes must be >= 1, got {size}")
             if size not in self.upload_ranges or size not in self.download_ranges:
                 raise ValueError(f"no upload/download range given for cluster size {size}")
-        for ranges in (self.upload_ranges, self.download_ranges):
-            for size, (low, high) in ranges.items():
-                if not (0 < low <= high):
-                    raise ValueError(f"bad range [{low}, {high}] for cluster size {size}")
+        for field in ("upload_ranges", "download_ranges"):
+            for size, (low, high) in getattr(self, field).items():
+                if not (0 < low <= high and math.isfinite(high)):
+                    raise ValueError(
+                        f"{field}[{size}] must satisfy 0 < low <= high, both finite, got [{low}, {high}]"
+                    )
 
 
 @dataclass(frozen=True)
@@ -390,47 +389,3 @@ def load_scenario(path: str) -> ScenarioSpec:
         data = json.load(fp)
     return scenario_from_dict(data, source=path)
 
-
-def write_records_csv(records: Iterable[ExperimentRecord], fp: IO[str]) -> None:
-    """Sweep records as CSV: N,livestream_bps,BW_bps,n_admitted,bw_bps,efficiency_pct."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(RECORD_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.pool_size,
-                f"{r.livestream_bandwidth:.2f}",
-                f"{r.budget:.2f}",
-                r.n_admitted,
-                f"{r.allocated_bandwidth:.2f}",
-                f"{r.efficiency_pct:.2f}",
-            ]
-        )
-
-
-def records_to_dicts(records: Iterable[ExperimentRecord]) -> list[dict]:
-    return [
-        {
-            "N": r.pool_size,
-            "livestream_bps": r.livestream_bandwidth,
-            "BW_bps": r.budget,
-            "n_admitted": r.n_admitted,
-            "bw_bps": r.allocated_bandwidth,
-            "efficiency_pct": r.efficiency_pct,
-        }
-        for r in records
-    ]
-
-
-def write_curve_csv(curve: Iterable[tuple[float, int]], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    for budget, n in curve:
-        writer.writerow([f"{budget:.2f}", n])
-
-
-def write_profile_csv(rows: Iterable[tuple[float, float, float]], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(PROFILE_COLUMNS)
-    for index, (upload, size, bandwidth) in enumerate(rows, start=1):
-        writer.writerow([index, f"{upload:.2f}", f"{size:.6f}", f"{bandwidth:.2f}"])

@@ -11,16 +11,13 @@ delay bound.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import IO
 
-from acide.core import AllocationPlan, StreamParams, plan_to_dict
+from acide.core import AllocationPlan, StreamParams
+from acide.output import trace_document, write_json
 
 BASE_STATION = "base-station"
-
-TRACE_COLUMNS = ("phase", "step", "sender", "receiver", "block", "start_s", "end_s", "rate_bps")
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,38 +161,6 @@ def playback_check(trace: SimulationTrace, params: StreamParams) -> PlaybackRepo
     )
 
 
-def write_trace_csv(trace: SimulationTrace, fp: IO[str]) -> None:
-    """Write the event trace as CSV with columns phase,step,sender,receiver,block,start_s,end_s,rate_bps."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for e in trace.events:
-        writer.writerow(
-            [e.phase, e.step, e.sender, e.receiver, e.block_index, e.start_time, e.end_time, e.rate]
-        )
-
-
-def trace_to_dict(trace: SimulationTrace) -> dict:
-    """JSON-ready representation of a trace."""
-    return {
-        "plan": plan_to_dict(trace.plan),
-        "events": [
-            {
-                "phase": e.phase,
-                "step": e.step,
-                "sender": e.sender,
-                "receiver": e.receiver,
-                "block": e.block_index,
-                "start_s": e.start_time,
-                "end_s": e.end_time,
-                "rate_bps": e.rate,
-            }
-            for e in trace.events
-        ],
-        "completion_times_s": dict(sorted(trace.completion_times.items())),
-        "makespan_s": trace.makespan,
-    }
-
-
 def write_trace_json(trace: SimulationTrace, fp: IO[str]) -> None:
-    json.dump(trace_to_dict(trace), fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    """Write the trace as its JSON document (acide.output.trace_document)."""
+    write_json(fp, trace_document(trace))

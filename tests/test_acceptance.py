@@ -34,8 +34,8 @@ from acide.experiments import (
     generate_peers,
     pool_seed,
     run_admission_sweep,
-    write_records_csv,
 )
+from acide.output import RECORD_COLUMNS, record_rows, write_table
 from acide.sim import build_schedule, simulate
 from oracles import (
     brute_force_admission,
@@ -227,6 +227,6 @@ def test_criterion_7_reproducibility():
         for _ in range(2):
             records = run_admission_sweep(default_scenario(seed=4_321))
             buf = StringIO()
-            write_records_csv(records, buf)
+            write_table(buf, "csv", RECORD_COLUMNS, record_rows(records))
             outputs.append(buf.getvalue().encode())
         assert outputs[0] == outputs[1]

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from acide.cli import main
+from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, generate_peers
 
 PEERS_CSV = "id,u_bps,d_bps\na,10000,20000\nb,15000,30000\nc,20000,40000\n"
 
@@ -111,6 +112,41 @@ class TestSolve:
         assert code == 2
         assert "error[parse]" in capsys.readouterr().err
 
+    def test_plan_csv_quotes_ids(self, tmp_path, capsys):
+        path = tmp_path / "odd.json"
+        peers = [
+            {"id": "a,b", "u_bps": 10000, "d_bps": 20000},
+            {"id": 'c"q', "u_bps": 15000, "d_bps": 30000},
+            {"id": "d", "u_bps": 20000, "d_bps": 40000},
+        ]
+        path.write_text(json.dumps(peers), encoding="utf-8")
+        out = tmp_path / "plan.csv"
+        code = main(["solve", "--input", str(path), "--livestream-bps", "10000", "--output", str(out)])
+        assert code == 0
+        rows = list(csv.reader(out.open(newline="")))
+        assert [len(r) for r in rows] == [5, 5, 5, 5]
+        assert [r[0] for r in rows[1:]] == ["a,b", 'c"q', "d"]
+        assert "a,b,10000.00," in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("empty.csv", "id,u_bps,d_bps\na,10000,20000\n ,15000,30000\n"),
+            ("null.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": null, "u_bps": 15000, "d_bps": 30000}]'),
+            ("empty.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": "", "u_bps": 15000, "d_bps": 30000}]'),
+        ],
+        ids=["csv-empty", "json-null", "json-empty"],
+    )
+    def test_missing_peer_id_is_parse_error(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code = main(["solve", "--input", str(path), "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[parse]" in captured.err
+        assert "peer id" in captured.err
+        assert captured.out == ""
+
     def test_nan_delay_is_validation_error(self, peers_csv, capsys):
         code = main(["solve", "--input", peers_csv, "--livestream-bps", "10000", "--delay-ms", "nan"])
         captured = capsys.readouterr()
@@ -181,6 +217,34 @@ class TestAdmit:
         assert code == 2
         assert "error[parse]" in captured.err
         assert captured.out == ""
+
+
+    def test_duplicate_ids_are_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,u_bps,d_bps\na,10000,20000\na,15000,30000\nc,20000,40000\n", encoding="utf-8")
+        code = main(["admit", "--input", str(path), "--budget-bps", "15000", "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error[validation:duplicate-id]")
+        assert captured.out == ""
+
+    def test_upload_over_download_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,u_bps,d_bps\na,10000,20000\nx,30000,20000\n", encoding="utf-8")
+        code = main(["admit", "--input", str(path), "--budget-bps", "15000", "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error[validation:upload-over-download]: upload exceeds download for peer(s): x\n"
+        assert captured.out == ""
+
+    def test_pool_level_conditions_left_to_admission(self, peers_csv, capsys):
+        # The pool's mean upload is below the stream rate, which solve rejects;
+        # admission still finds the one peer that fits on its own.
+        code = main(["admit", "--input", peers_csv, "--budget-bps", "20000", "--livestream-bps", "20000"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "admitted 1 of 3" in captured.out
+        assert captured.err == ""
 
 
 class TestSimulate:
@@ -276,6 +340,31 @@ class TestSweep:
         assert "error[parse]" in err
         assert "scenario.json:1" in err
 
+    @pytest.mark.parametrize(
+        "scenario,field",
+        [
+            ({"upload_ranges": {"5": [10000, "Infinity"]}, "download_ranges": {"5": [20000, "Infinity"]}}, "upload_ranges"),
+            ({"download_ranges": {"5": ["-Infinity", 30000]}}, "download_ranges"),
+            ({"delay_bound_s": "NaN"}, "delay_bound"),
+            ({"livestream_bandwidths_bps": [10000, "Infinity"]}, "livestream_bandwidths"),
+            ({"budgets_bps": ["NaN", 20000]}, "budgets"),
+        ],
+        ids=["infinite-ranges", "negative-range", "nan-delay", "infinite-rate", "nan-budget"],
+    )
+    def test_non_finite_scenario_is_validation_error(self, tmp_path, capsys, scenario, field):
+        # JSON literals Infinity/NaN, which json.dumps cannot write from strings.
+        text = json.dumps({"cluster_sizes": [5], **scenario})
+        for literal in ("-Infinity", "Infinity", "NaN"):
+            text = text.replace(f'"{literal}"', literal)
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["sweep", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error[validation]")
+        assert field in captured.err
+        assert captured.out == ""
+
     def test_stdout_when_no_output(self, capsys):
         assert main(["sweep", "--sizes", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -322,9 +411,11 @@ class TestCurveAndProfile:
         assert "error[validation]" in capsys.readouterr().err
 
 
-# SHA-256 of the sweep and curve outputs at seed 42. A refactor of the solver
-# or of admission must leave these bytes unchanged; two runs of the same code
-# agreeing (acceptance criterion 7) cannot show that.
+# SHA-256 of the sweep and curve outputs at seed 42, and of every --output of
+# solve, admit, simulate and profile on a seeded 40-peer pool. A refactor of
+# the solver, of admission or of the output layer must leave these bytes
+# unchanged; two runs of the same code agreeing (acceptance criterion 7)
+# cannot show that.
 PINNED_DIGESTS = {
     "sweep.csv": "d4ac228ca35d3c92e9ad18f5b10b03a97e4da9a2cc69753359fe53011af9738d",
     "sweep.json": "2083f9206bb69d240326beb46325ae5a248d427a6a0f9cbadbcd88c34ad97949",
@@ -336,7 +427,23 @@ PINNED_DIGESTS = {
     "curve_n20.json": "66ae7a4c60d5b4cff137e0b61f47210e3c848c0ef0f06dfc2d7d9efed94a1985",
     "curve_n60.json": "93fde8bc5fcad1dfad539ca6e923e8ff850c14ad82db98326de9107af49a91ea",
     "curve_n120.json": "d98f4b0151d54d9569845e93f6eb7f863b3d6c362e600975fdc2c1c029d92d19",
+    "sweep-stdout.csv": "d4ac228ca35d3c92e9ad18f5b10b03a97e4da9a2cc69753359fe53011af9738d",
+    "solve.csv": "35c2eb1eb09d648bed27dfe5d7c6d635b5cf5a037e2bb93897310e22d38aac27",
+    "solve.json": "283dc69684f44a4f841efd3abce92dcbe955a7f096f890197b7cf83c87bbee06",
+    "admit.csv": "5900559b44403ddcbe5a87d617ff761d0d638e4bc15566d8676a54a13e3dc47a",
+    "admit.json": "73c5241b5a8ffa5d77736f23937267b679eef84875f64d30e1989009d9266833",
+    "simulate.csv": "39fa9fab186121f08069dab91e7372ebb8635bf8da2c5f179e1067887998988a",
+    "simulate.json": "5733918b0db4819c5aeb97dd7c77c2eb18226086fce0ba81df0bef544e771f25",
+    "profile_n5.csv": "9b23427d169325d9bb9349a4948d4e810c1178b35f0d2fbf225f422d5c099b98",
+    "profile_n120.csv": "2523aa72c5f41d9e065497bcfb6002d84c4912c5304934de5bf86657b70f8df2",
+    "profile_n5.json": "d02c8b1ab4aadf3db99bd88c7602d092173e3bbe129881ebb7d5efac4d67af41",
+    "profile_n120.json": "bd2f33658fc702f0d02de33e293a9691d853644f8c5306c161c6bcce9d4d068a",
 }
+
+
+def _assert_pinned(directory, names):
+    for name in names:
+        assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == PINNED_DIGESTS[name], name
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -345,6 +452,34 @@ def test_sweep_and_curve_outputs_match_pinned_digests(tmp_path, fmt):
     assert main(["sweep", "--seed", "42", "--format", fmt, "--output", str(sweep)]) == 0
     curve_args = ["--sizes", "5", "20", "60", "120", "--livestream-bps", "10000", "--seed", "42"]
     assert main(["curve", *curve_args, "--format", fmt, "--output", str(tmp_path / f"curve.{fmt}")]) == 0
-    for name, digest in PINNED_DIGESTS.items():
-        if name.endswith(fmt):
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    _assert_pinned(tmp_path, [f"sweep.{fmt}"] + [f"curve_n{n}.{fmt}" for n in (5, 20, 60, 120)])
+
+
+def test_sweep_stdout_matches_pinned_digest(tmp_path, capsys):
+    assert main(["sweep", "--seed", "42"]) == 0
+    (tmp_path / "sweep-stdout.csv").write_bytes(capsys.readouterr().out.encode("utf-8"))
+    _assert_pinned(tmp_path, ["sweep-stdout.csv"])
+
+
+@pytest.fixture
+def pool_csv(tmp_path):
+    pool = generate_peers(40, DEFAULT_UPLOAD_RANGES[40], DEFAULT_DOWNLOAD_RANGES[40], seed=42)
+    path = tmp_path / "pool.csv"
+    rows = "".join(f"{p.id},{p.upload!r},{p.download!r}\n" for p in pool)
+    path.write_text("id,u_bps,d_bps\n" + rows, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pool_outputs_match_pinned_digests(tmp_path, pool_csv, fmt):
+    rate = ["--livestream-bps", "10000"]
+
+    def out(name):
+        return ["--format", fmt, "--output", str(tmp_path / f"{name}.{fmt}")]
+
+    assert main(["solve", "--input", pool_csv, *rate, *out("solve")]) == 0
+    assert main(["admit", "--input", pool_csv, "--budget-bps", "13000", *rate, *out("admit")]) == 0
+    assert main(["simulate", "--input", pool_csv, *rate, *out("simulate")]) == 0
+    assert main(["profile", "--sizes", "5", "120", *rate, "--seed", "42", *out("profile")]) == 0
+    names = ["solve", "admit", "simulate", "profile_n5", "profile_n120"]
+    _assert_pinned(tmp_path, [f"{name}.{fmt}" for name in names])

@@ -7,7 +7,6 @@ import pytest
 
 from acide.core import StreamParams, close
 from acide.experiments import (
-    CURVE_COLUMNS,
     DEFAULT_BUDGETS,
     DEFAULT_CLUSTER_SIZES,
     DEFAULT_DOWNLOAD_RANGES,
@@ -23,9 +22,14 @@ from acide.experiments import (
     run_admission_sweep,
     scenario_from_dict,
     scenario_to_dict,
-    write_curve_csv,
-    write_profile_csv,
-    write_records_csv,
+)
+from acide.output import (
+    CURVE_COLUMNS,
+    PROFILE_COLUMNS,
+    RECORD_COLUMNS,
+    profile_rows,
+    record_rows,
+    write_table,
 )
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
@@ -232,7 +236,7 @@ class TestCsvWriters:
             ExperimentRecord(5, 12000.0, 10000.0, 0, 0.0, 0.0),
         ]
         buf = io.StringIO()
-        write_records_csv(records, buf)
+        write_table(buf, "csv", RECORD_COLUMNS, record_rows(records))
         assert buf.getvalue() == (
             "N,livestream_bps,BW_bps,n_admitted,bw_bps,efficiency_pct\n"
             "5,10000.00,12000.00,1,10000.00,83.33\n"
@@ -241,14 +245,15 @@ class TestCsvWriters:
 
     def test_curve_csv(self):
         buf = io.StringIO()
-        write_curve_csv([(10000.0, 1), (20000.0, 4)], buf)
+        write_table(buf, "csv", CURVE_COLUMNS, [(10000.0, 1), (20000.0, 4)])
         lines = buf.getvalue().splitlines()
-        assert lines[0] == ",".join(CURVE_COLUMNS)
+        assert lines[0] == ",".join(name for name, _ in CURVE_COLUMNS)
         assert lines[1] == "10000.00,1"
 
     def test_profile_csv_indexes_from_one(self):
         buf = io.StringIO()
-        write_profile_csv([(10000.0, 444.4444444, 4000.0), (15000.0, 666.6666667, 6000.0)], buf)
+        rows = [(10000.0, 444.4444444, 4000.0), (15000.0, 666.6666667, 6000.0)]
+        write_table(buf, "csv", PROFILE_COLUMNS, profile_rows(rows))
         lines = buf.getvalue().splitlines()
         assert lines[1].startswith("1,10000.00,444.444444,")
         assert lines[2].startswith("2,15000.00,666.666667,")
@@ -258,7 +263,7 @@ class TestCsvWriters:
         outputs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_records_csv(run_admission_sweep(spec), buf)
+            write_table(buf, "csv", RECORD_COLUMNS, record_rows(run_admission_sweep(spec)))
             outputs.append(buf.getvalue().encode())
         assert outputs[0] == outputs[1]
 

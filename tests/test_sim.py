@@ -9,14 +9,12 @@ from dataclasses import replace
 import pytest
 
 from acide.core import PeerProfile, StreamParams, close, min_bandwidth, sort_peers
+from acide.output import TRACE_COLUMNS, trace_document, trace_rows, write_table
 from acide.sim import (
     BASE_STATION,
-    TRACE_COLUMNS,
     build_schedule,
     playback_check,
     simulate,
-    trace_to_dict,
-    write_trace_csv,
     write_trace_json,
 )
 
@@ -185,9 +183,9 @@ class TestTraceExport:
     def test_csv_columns_and_rows(self):
         trace = simulate(min_bandwidth(TRIO, STREAM))
         buf = io.StringIO()
-        write_trace_csv(trace, buf)
+        write_table(buf, "csv", TRACE_COLUMNS, trace_rows(trace))
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
-        assert tuple(rows[0]) == TRACE_COLUMNS
+        assert tuple(rows[0]) == tuple(name for name, _ in TRACE_COLUMNS)
         assert len(rows) == 1 + len(trace.events)
         first = rows[1]
         assert first[0] == "1" and first[2] == BASE_STATION
@@ -197,7 +195,7 @@ class TestTraceExport:
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_trace_csv(simulate(plan), buf)
+            write_table(buf, "csv", TRACE_COLUMNS, trace_rows(simulate(plan)))
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
@@ -206,7 +204,7 @@ class TestTraceExport:
         buf = io.StringIO()
         write_trace_json(trace, buf)
         data = json.loads(buf.getvalue())
-        assert data == trace_to_dict(trace)
+        assert data == trace_document(trace)
         assert len(data["events"]) == len(trace.events)
         assert set(data["completion_times_s"]) == {"a", "b", "c"}
         assert close(data["makespan_s"], 0.2)
