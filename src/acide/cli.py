@@ -79,7 +79,7 @@ def _delay_s(args: argparse.Namespace, stream_info: dict | None = None) -> float
         delay_ms = stream_info.get("delay_ms")
     if delay_ms is None:
         delay_ms = DEFAULT_DELAY_BOUND * 1000.0
-    return float(delay_ms) / 1000.0
+    return delay_ms / 1000.0
 
 
 def _peer(where: str, ident, upload, download) -> PeerProfile:
@@ -140,9 +140,9 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
     stream_info: dict = {}
     if isinstance(data, dict):
         raw_peers = data.get("peers")
-        stream_info = data.get("stream") or {}
         if not isinstance(raw_peers, list):
             raise ParseInputError(f"{path}: expected a \"peers\" list")
+        stream_info = _stream_section(path, data.get("stream"))
     elif isinstance(data, list):
         raw_peers = data
     else:
@@ -159,6 +159,18 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
     return peers, stream_info
 
 
+def _stream_section(path: str, section) -> dict:
+    """The stream section of a JSON peer file as {key: float}; null values count as absent."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ParseInputError(f"{path}: \"stream\" must be an object, got {section!r}")
+    try:
+        return {key: float(value) for key, value in section.items() if value is not None}
+    except (TypeError, ValueError):
+        raise ParseInputError(f"{path}: stream values must be numbers, got {section!r}") from None
+
+
 def _load_peer_input(path: str) -> tuple[list[PeerProfile], dict]:
     if path.endswith(".json"):
         return load_peers_json(path)
@@ -173,13 +185,13 @@ def _resolve_stream(args: argparse.Namespace, stream_info: dict) -> StreamParams
     """
     delay_s = _delay_s(args, stream_info)
     if args.package_bits is not None:
-        package = float(args.package_bits)
+        package = args.package_bits
     elif args.livestream_bps is not None:
-        package = float(args.livestream_bps) * delay_s
+        package = args.livestream_bps * delay_s
     elif stream_info.get("package_bits") is not None:
-        package = float(stream_info["package_bits"])
+        package = stream_info["package_bits"]
     elif stream_info.get("livestream_bps") is not None:
-        package = float(stream_info["livestream_bps"]) * delay_s
+        package = stream_info["livestream_bps"] * delay_s
     else:
         raise ValueError(
             "no package size given: pass --package-bits or --livestream-bps, "

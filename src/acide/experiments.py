@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from acide.admission import AdmissionBudget, InsufficientBudgetError, _first_kept, join_cluster
+from acide.admission import _first_kept
 from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
 
 DEFAULT_SEED = 42
@@ -192,9 +192,11 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
 
     One candidate pool is drawn per cluster size (see pool_seed) and reused
     across every stream rate and budget, so trends within a size are not
-    confounded by redraws. Records come out ordered: size ascending, stream
-    rate ascending, budget descending. A budget below the livestream
-    bandwidth admits nobody and is recorded with n_admitted = 0.
+    confounded by redraws. The pools come out of generate_peers sorted by
+    upload, so each cell admits the suffix join_cluster would, found by one
+    bisection. Records come out ordered: size ascending, stream rate
+    ascending, budget descending. A budget below the livestream bandwidth
+    admits nobody and is recorded with n_admitted = 0.
     """
     pools = {
         size: generate_peers(
@@ -210,26 +212,18 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
         for rate in sorted(set(spec.livestream_bandwidths)):
             stream = StreamParams(package_size=rate * spec.delay_bound, delay_bound=spec.delay_bound)
             for budget in sorted(set(spec.budgets), reverse=True):
-                try:
-                    outcome = join_cluster(AdmissionBudget(budget, tuple(pools[size]), stream))
-                    record = ExperimentRecord(
+                removed = _first_kept(pools[size], stream, lambda required: required <= budget)
+                bw = allocated_bandwidth(pools[size][removed:], stream) if removed < size else 0.0
+                records.append(
+                    ExperimentRecord(
                         pool_size=size,
                         livestream_bandwidth=rate,
                         budget=budget,
-                        n_admitted=len(outcome.admitted),
-                        allocated_bandwidth=outcome.plan.total_bandwidth,
-                        efficiency_pct=outcome.efficiency * 100.0,
+                        n_admitted=size - removed,
+                        allocated_bandwidth=bw,
+                        efficiency_pct=bw / budget * 100.0,
                     )
-                except InsufficientBudgetError:
-                    record = ExperimentRecord(
-                        pool_size=size,
-                        livestream_bandwidth=rate,
-                        budget=budget,
-                        n_admitted=0,
-                        allocated_bandwidth=0.0,
-                        efficiency_pct=0.0,
-                    )
-                records.append(record)
+                )
     return records
 
 
@@ -317,24 +311,16 @@ def block_size_profile(
     return profiles
 
 
-def default_scenario(
-    cluster_sizes: Sequence[int] | None = None,
-    seed: int = DEFAULT_SEED,
-    livestream_bandwidths: Sequence[float] | None = None,
-    budgets: Sequence[float] | None = None,
-    delay_bound: float = DEFAULT_DELAY_BOUND,
-) -> ScenarioSpec:
+def default_scenario(cluster_sizes: Sequence[int] | None = None, seed: int = DEFAULT_SEED) -> ScenarioSpec:
     """The bundled scenario, optionally restricted or reseeded."""
     sizes = tuple(cluster_sizes) if cluster_sizes is not None else DEFAULT_CLUSTER_SIZES
     return ScenarioSpec(
         cluster_sizes=sizes,
         upload_ranges={s: DEFAULT_UPLOAD_RANGES[s] for s in sizes},
         download_ranges={s: DEFAULT_DOWNLOAD_RANGES[s] for s in sizes},
-        delay_bound=delay_bound,
-        livestream_bandwidths=tuple(livestream_bandwidths)
-        if livestream_bandwidths is not None
-        else DEFAULT_LIVESTREAM_BANDWIDTHS,
-        budgets=tuple(budgets) if budgets is not None else DEFAULT_BUDGETS,
+        delay_bound=DEFAULT_DELAY_BOUND,
+        livestream_bandwidths=DEFAULT_LIVESTREAM_BANDWIDTHS,
+        budgets=DEFAULT_BUDGETS,
         seed=seed,
     )
 

@@ -1,10 +1,11 @@
-"""Event-level simulation of the two-phase package distribution.
+"""Simulation of the two-phase package distribution.
 
-Replays an allocation plan as timed transfers: phase 1 sends block i from the
-base station to peer i at the planned bandwidth, phase 2 circulates the
-blocks between peers in n-1 barrier-synchronised steps. Event times are
-computed in closed form rather than ticked, so traces are exact and cheap.
-The trace is the ground truth for playback checks: a plan guarantees
+Phase 1 sends block i from the base station to peer i at the planned
+bandwidth; phase 2 circulates the blocks between peers in n-1
+barrier-synchronised steps of a cyclic shift. Completion times are a closed
+form: every peer's last block arrives in the final step, from the next
+position around the ring. The timed transfer events are built only when a
+trace's `events` is read, which writing a trace does. A plan guarantees
 continuous playback only if every peer holds the full package within the
 delay bound.
 """
@@ -34,12 +35,39 @@ class TransferEvent:
     rate: float
 
 
+def _timing(plan: AllocationPlan) -> tuple[list[float], float, list[float], float]:
+    """Phase-1 end times, the phase-2 start, phase-2 durations per block, the step length."""
+    phase1_ends = [size / rate for size, rate in zip(plan.block_sizes, plan.peer_bandwidths)]
+    durations = [s / p.upload for s, p in zip(plan.block_sizes, plan.peers)]
+    return phase1_ends, max(phase1_ends), durations, max(durations)
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
     plan: AllocationPlan
-    events: tuple[TransferEvent, ...]
     completion_times: dict[str, float]
     makespan: float
+
+    @property
+    def events(self) -> tuple[TransferEvent, ...]:
+        """Every transfer: phase 1 by block, then phase 2 in build_schedule order.
+
+        Built afresh on each read; a trace of n peers has n^2 events.
+        """
+        plan = self.plan
+        phase1_ends, phase2_start, durations, step_length = _timing(plan)
+        events = [
+            TransferEvent(1, 0, BASE_STATION, peer.id, i + 1, 0.0, end, rate)
+            for i, (peer, end, rate) in enumerate(zip(plan.peers, phase1_ends, plan.peer_bandwidths))
+        ]
+        for step, sender, receiver in build_schedule(len(plan.peers)):
+            start = phase2_start + (step - 1) * step_length
+            owner = plan.peers[sender - 1]
+            events.append(
+                TransferEvent(2, step, owner.id, plan.peers[receiver - 1].id, sender,
+                              start, start + durations[sender - 1], owner.upload)
+            )
+        return tuple(events)
 
 
 @dataclass(frozen=True)
@@ -77,14 +105,16 @@ def build_schedule(n: int) -> list[tuple[int, int, int]]:
 
 
 def simulate(plan: AllocationPlan) -> SimulationTrace:
-    """Replay a plan into a timed transfer trace.
+    """Time a plan's two-phase distribution and each peer's completion.
 
     Phase-1 transfer i runs [0, s_i/bw_i]; phase 2 starts once the last of
     them finishes. Each phase-2 step lasts as long as its slowest transfer
     (block i always moves at its owner's upload rate), and the next step
-    starts only at that barrier. Per-peer completion times are taken from
-    the events, so a plan that violates its own timing shows up here as a
-    makespan past the delay bound rather than as an error.
+    starts only at that barrier. So a peer completes when its block from the
+    next position around the ring arrives in step n-1: at
+    t2 + (n-2)*L + s_{r+1}/u_{r+1}, with t2 the phase-2 start and L the step
+    length. A plan that violates its own timing shows up here as a makespan
+    past the delay bound rather than as an error.
     """
     n = len(plan.peers)
     if n == 0:
@@ -98,52 +128,14 @@ def simulate(plan: AllocationPlan) -> SimulationTrace:
         if size <= 0 or rate <= 0 or peer.upload <= 0:
             raise ValueError(f"non-positive size or rate for peer {peer.id}")
 
-    events: list[TransferEvent] = []
-    for i, (peer, size, rate) in enumerate(zip(plan.peers, plan.block_sizes, plan.peer_bandwidths)):
-        events.append(
-            TransferEvent(
-                phase=1,
-                step=0,
-                sender=BASE_STATION,
-                receiver=peer.id,
-                block_index=i + 1,
-                start_time=0.0,
-                end_time=size / rate,
-                rate=rate,
-            )
-        )
-    phase2_start = max(e.end_time for e in events)
-
-    if n > 1:
-        durations = [s / p.upload for s, p in zip(plan.block_sizes, plan.peers)]
-        step_length = max(durations)
-        for step, sender, receiver in build_schedule(n):
-            start = phase2_start + (step - 1) * step_length
-            events.append(
-                TransferEvent(
-                    phase=2,
-                    step=step,
-                    sender=plan.peers[sender - 1].id,
-                    receiver=plan.peers[receiver - 1].id,
-                    block_index=sender,
-                    start_time=start,
-                    end_time=start + durations[sender - 1],
-                    rate=plan.peers[sender - 1].upload,
-                )
-            )
-
-    completion: dict[str, float] = {}
-    for event in events:
-        current = completion.get(event.receiver)
-        if current is None or event.end_time > current:
-            completion[event.receiver] = event.end_time
-    makespan = max(completion.values())
-    return SimulationTrace(
-        plan=plan,
-        events=tuple(events),
-        completion_times=completion,
-        makespan=makespan,
-    )
+    phase1_ends, phase2_start, durations, step_length = _timing(plan)
+    if n == 1:
+        completion = {plan.peers[0].id: phase1_ends[0]}
+    else:
+        # The start of step n-1, the same float the events give it.
+        last_start = phase2_start + (n - 2) * step_length
+        completion = {peer.id: last_start + durations[(r + 1) % n] for r, peer in enumerate(plan.peers)}
+    return SimulationTrace(plan=plan, completion_times=completion, makespan=max(completion.values()))
 
 
 def playback_check(trace: SimulationTrace, params: StreamParams) -> PlaybackReport:

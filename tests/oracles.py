@@ -1,11 +1,12 @@
 """Independent oracles used by the tests.
 
 These recompute expected values straight from definitions: the block-size
-system the closed form solves, exact rational arithmetic, and exhaustive or
-linear searches in place of the library's bisection. The admission oracles
-price each candidate set with allocated_bandwidth, the library's one
-expression for a cluster's requirement, so a budget that sits exactly on a
-set's cost is judged by the same float on both sides.
+system the closed form solves, exact rational arithmetic, exhaustive or
+linear searches in place of the library's bisection, and an event-by-event
+replay of the distribution in place of the simulation's closed form. The
+admission oracles price each candidate set with allocated_bandwidth, the
+library's one expression for a cluster's requirement, so a budget that sits
+exactly on a set's cost is judged by the same float on both sides.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from acide.admission import AdmissionBudget, AdmissionOutcome, InsufficientBudgetError
-from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
+from acide.core import (
+    AllocationPlan,
+    PeerProfile,
+    StreamParams,
+    allocated_bandwidth,
+    min_bandwidth,
+    sort_peers,
+)
+from acide.sim import BASE_STATION, TransferEvent, build_schedule
 
 # 2^N subsets are enumerated; beyond this the oracle refuses.
 MAX_ORACLE_CANDIDATES = 16
@@ -169,3 +178,54 @@ def brute_force_admission(budget: AdmissionBudget) -> AdmissionOutcome:
         efficiency=plan.total_bandwidth / cap,
         rejected=rejected,
     )
+
+
+def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TransferEvent, ...], dict[str, float], float]:
+    """(events, completion times, makespan) of a plan, replayed event by event.
+
+    Builds every phase-1 and phase-2 transfer, then takes each peer's
+    completion as the latest end time among the transfers it receives.
+    Quadratic in the cluster size.
+    """
+    n = len(plan.peers)
+    events: list[TransferEvent] = []
+    for i, (peer, size, rate) in enumerate(zip(plan.peers, plan.block_sizes, plan.peer_bandwidths)):
+        events.append(
+            TransferEvent(
+                phase=1,
+                step=0,
+                sender=BASE_STATION,
+                receiver=peer.id,
+                block_index=i + 1,
+                start_time=0.0,
+                end_time=size / rate,
+                rate=rate,
+            )
+        )
+    phase2_start = max(e.end_time for e in events)
+
+    if n > 1:
+        durations = [s / p.upload for s, p in zip(plan.block_sizes, plan.peers)]
+        step_length = max(durations)
+        for step, sender, receiver in build_schedule(n):
+            start = phase2_start + (step - 1) * step_length
+            events.append(
+                TransferEvent(
+                    phase=2,
+                    step=step,
+                    sender=plan.peers[sender - 1].id,
+                    receiver=plan.peers[receiver - 1].id,
+                    block_index=sender,
+                    start_time=start,
+                    end_time=start + durations[sender - 1],
+                    rate=plan.peers[sender - 1].upload,
+                )
+            )
+
+    completion: dict[str, float] = {}
+    for event in events:
+        current = completion.get(event.receiver)
+        if current is None or event.end_time > current:
+            completion[event.receiver] = event.end_time
+    makespan = max(completion.values())
+    return tuple(events), completion, makespan

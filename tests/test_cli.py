@@ -147,6 +147,22 @@ class TestSolve:
         assert "peer id" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "stream",
+        [[2000], "x", {"delay_ms": [1]}, {"package_bits": {"a": 1}}],
+        ids=["list", "string", "list-value", "object-value"],
+    )
+    def test_malformed_stream_section_is_parse_error(self, tmp_path, capsys, stream):
+        path = tmp_path / "stream.json"
+        peers = [{"id": "a", "u_bps": 20000, "d_bps": 40000}, {"id": "b", "u_bps": 20000, "d_bps": 40000}]
+        path.write_text(json.dumps({"peers": peers, "stream": stream}), encoding="utf-8")
+        code = main(["solve", "--input", str(path), "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[parse]" in captured.err
+        assert "stream.json" in captured.err
+        assert captured.out == ""
+
     def test_nan_delay_is_validation_error(self, peers_csv, capsys):
         code = main(["solve", "--input", peers_csv, "--livestream-bps", "10000", "--delay-ms", "nan"])
         captured = capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Property tests: bisected admission and closed-form block sizes against oracles.
+"""Property tests: bisected admission, closed-form block sizes and the
+closed-form simulation against oracles.
 
 Uploads span 1e-3 to 1e12 bps, pools run from a single peer up, and some
 pools are built from a few repeated values so that uploads tie. Examples are
@@ -8,6 +9,7 @@ derandomised so the suite gives the same verdict on every run.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,18 +18,26 @@ from hypothesis import strategies as st
 
 from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
 from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
-from oracles import linear_suffix_scan
+from acide.sim import simulate
+from oracles import linear_suffix_scan, replay_simulation
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 DELAY = 0.2
 
 bandwidths = st.floats(min_value=1e-3, max_value=1e12, allow_nan=False, allow_infinity=False)
-upload_lists = st.one_of(
-    st.lists(bandwidths, min_size=1, max_size=12),
-    st.lists(bandwidths, min_size=1, max_size=3).flatmap(
-        lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=12)
-    ),
-)
+
+
+def uploads_of(max_size: int):
+    """Upload lists of 1..max_size values, some drawn from a few values so they tie."""
+    return st.one_of(
+        st.lists(bandwidths, min_size=1, max_size=max_size),
+        st.lists(bandwidths, min_size=1, max_size=3).flatmap(
+            lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=max_size)
+        ),
+    )
+
+
+upload_lists = uploads_of(12)
 
 
 def as_pool(uploads: list[float]) -> tuple[PeerProfile, ...]:
@@ -71,3 +81,25 @@ def test_block_sizes_match_exact_proportional_split(uploads, rate_share):
     for peer, size in zip(plan.peers, plan.block_sizes):
         want = Fraction(stream.package_size) * Fraction(peer.upload) / exact_total
         assert abs(Fraction(size) - want) <= want * Fraction(1, 10**9)
+
+
+@PROPERTY
+@given(
+    uploads=uploads_of(60),
+    rate_share=st.floats(min_value=1e-3, max_value=1.0),
+    scale=st.one_of(st.none(), st.tuples(st.integers(0, 59), st.floats(min_value=0.5, max_value=2.0))),
+)
+def test_simulation_matches_the_event_replay(uploads, rate_share, scale):
+    stream = StreamParams(package_size=min(uploads) * rate_share * DELAY, delay_bound=DELAY)
+    plan = min_bandwidth(as_pool(uploads), stream)
+    if scale is not None:
+        # A plan off the optimum: one block scaled, so phase-2 transfers differ in length.
+        index, factor = scale
+        sizes = list(plan.block_sizes)
+        sizes[index % len(sizes)] *= factor
+        plan = replace(plan, block_sizes=tuple(sizes))
+    events, completion, makespan = replay_simulation(plan)
+    trace = simulate(plan)
+    assert trace.completion_times == completion
+    assert trace.makespan == makespan
+    assert trace.events == events

@@ -10,6 +10,7 @@ import pytest
 
 from acide.core import PeerProfile, StreamParams, close, min_bandwidth, sort_peers
 from acide.output import TRACE_COLUMNS, trace_document, trace_rows, write_table
+from acide import sim
 from acide.sim import (
     BASE_STATION,
     build_schedule,
@@ -157,6 +158,17 @@ class TestSimulate:
         assert close(report.overshoot, 0.01 * 0.2, rel=1e-6)
         # Block 1 arrives last at the peer two positions around the ring.
         assert report.worst_peer == plan.peers[2].id
+
+    def test_plan_check_builds_no_events(self, monkeypatch):
+        def no_events(*args, **kwargs):
+            raise AssertionError("a TransferEvent was built")
+
+        monkeypatch.setattr(sim, "TransferEvent", no_events)
+        for peers in (TRIO, TRIO[:1], random_cluster(random.Random(409), 40)):
+            trace = simulate(min_bandwidth(peers, STREAM))
+            assert playback_check(trace, STREAM).continuous
+        with pytest.raises(AssertionError, match="TransferEvent"):
+            trace.events
 
     def test_mismatched_plan_rejected(self):
         plan = min_bandwidth(TRIO, STREAM)
