@@ -1,75 +1,59 @@
-"""Bandwidth planning, admission control, and distribution simulation for P2P livestream clusters."""
+"""Bandwidth planning, admission control, and distribution simulation for P2P livestream clusters.
 
-from acide.admission import (
-    AdmissionBudget,
-    AdmissionOutcome,
-    InsufficientBudgetError,
-    admitted_upper_bound,
-    join_cluster,
-)
-from acide.core import (
-    AllocationPlan,
-    AssumptionViolation,
-    InfeasibleClusterError,
-    PeerProfile,
-    StreamParams,
-    ValidationReport,
-    allocated_bandwidth,
-    min_bandwidth,
-    sort_peers,
-    validate_cluster,
-)
-from acide.experiments import (
-    ExperimentRecord,
-    ScenarioSpec,
-    admitted_vs_budget_curve,
-    baseline_bandwidths,
-    block_size_profile,
-    default_scenario,
-    generate_peers,
-    load_scenario,
-    run_admission_sweep,
-)
-from acide.sim import (
-    PlaybackReport,
-    SimulationTrace,
-    TransferEvent,
-    build_schedule,
-    playback_check,
-    simulate,
-)
+The public names below are loaded on first use (PEP 562), so importing the
+package, or one of its modules such as acide.cli, loads only the modules
+that are asked for.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissionBudget",
-    "AdmissionOutcome",
-    "AllocationPlan",
-    "AssumptionViolation",
-    "ExperimentRecord",
-    "InfeasibleClusterError",
-    "InsufficientBudgetError",
-    "PeerProfile",
-    "PlaybackReport",
-    "ScenarioSpec",
-    "SimulationTrace",
-    "StreamParams",
-    "TransferEvent",
-    "ValidationReport",
-    "admitted_upper_bound",
-    "admitted_vs_budget_curve",
-    "allocated_bandwidth",
-    "baseline_bandwidths",
-    "block_size_profile",
-    "build_schedule",
-    "default_scenario",
-    "generate_peers",
-    "join_cluster",
-    "load_scenario",
-    "min_bandwidth",
-    "playback_check",
-    "run_admission_sweep",
-    "simulate",
-    "sort_peers",
-    "validate_cluster",
-]
+# Public name -> the acide module that defines it.
+_EXPORTS = {
+    "AdmissionBudget": "admission",
+    "AdmissionOutcome": "admission",
+    "AllocationPlan": "core",
+    "AssumptionViolation": "core",
+    "ExperimentRecord": "experiments",
+    "InfeasibleClusterError": "core",
+    "InsufficientBudgetError": "admission",
+    "PeerProfile": "core",
+    "PlaybackReport": "sim",
+    "ScenarioSpec": "experiments",
+    "SimulationTrace": "sim",
+    "StreamParams": "core",
+    "TransferEvent": "sim",
+    "ValidationReport": "core",
+    "admitted_upper_bound": "admission",
+    "admitted_vs_budget_curve": "experiments",
+    "allocated_bandwidth": "core",
+    "baseline_bandwidths": "experiments",
+    "block_size_profile": "experiments",
+    "build_schedule": "sim",
+    "default_scenario": "experiments",
+    "generate_peers": "experiments",
+    "join_cluster": "admission",
+    "load_scenario": "experiments",
+    "min_bandwidth": "core",
+    "playback_check": "sim",
+    "run_admission_sweep": "experiments",
+    "simulate": "sim",
+    "sort_peers": "core",
+    "validate_cluster": "core",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

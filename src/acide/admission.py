@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from acide.core import (
     AllocationPlan,
@@ -37,29 +36,44 @@ class InsufficientBudgetError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class AdmissionBudget:
-    """Inputs to an admission decision: the reserved budget, who wants in, the stream."""
-
+class _BudgetFields(NamedTuple):
     given_allocated_bandwidth: float
     candidates: tuple[PeerProfile, ...]
     stream: StreamParams
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if not (self.given_allocated_bandwidth > 0 and math.isfinite(self.given_allocated_bandwidth)):
+
+class AdmissionBudget(_BudgetFields):
+    """Inputs to an admission decision: the reserved budget, who wants in, the stream.
+
+    The budget must be positive and finite and the candidates a non-empty
+    sequence (stored as a tuple) with distinct ids; copies made with
+    _replace or _make are checked like new values.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, given_allocated_bandwidth: float, candidates: Iterable[PeerProfile], stream: StreamParams
+    ) -> AdmissionBudget:
+        candidates = tuple(candidates)
+        if not (given_allocated_bandwidth > 0 and math.isfinite(given_allocated_bandwidth)):
             raise ValueError(
                 f"given_allocated_bandwidth must be positive and finite, "
-                f"got {self.given_allocated_bandwidth}"
+                f"got {given_allocated_bandwidth}"
             )
-        if not self.candidates:
+        if not candidates:
             raise ValueError("admission requires at least one candidate")
-        if len({p.id for p in self.candidates}) != len(self.candidates):
+        if len({p.id for p in candidates}) != len(candidates):
             raise ValueError("candidate ids must be unique")
+        return super().__new__(cls, given_allocated_bandwidth, candidates, stream)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> AdmissionBudget:
+        # The tuple's own _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AdmissionOutcome:
+class AdmissionOutcome(NamedTuple):
     """An admitted cluster with its plan and how much of the budget it uses."""
 
     admitted: tuple[PeerProfile, ...]

@@ -11,38 +11,31 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from acide import output
 from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
 from acide.core import (
+    DEFAULT_DELAY_BOUND,
+    DEFAULT_SEED,
     DUPLICATE_ID,
     UPLOAD_OVER_DOWNLOAD,
     InfeasibleClusterError,
     PeerProfile,
     StreamParams,
     min_bandwidth,
+    number,
     validate_cluster,
 )
-from acide.experiments import (
-    DEFAULT_DELAY_BOUND,
-    DEFAULT_DOWNLOAD_RANGES,
-    DEFAULT_SEED,
-    DEFAULT_UPLOAD_RANGES,
-    admitted_vs_budget_curve,
-    block_size_profile,
-    default_scenario,
-    load_scenario,
-    run_admission_sweep,
-)
 from acide.sim import playback_check, simulate
+
+# json, dataclasses and acide.experiments are imported only by the functions
+# that use them, so solve, admit and simulate on a CSV file start without them.
 
 SEED_ENV_VAR = "ACIDE_SEED"
 
@@ -91,7 +84,7 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
     if ident is None or not str(ident).strip():
         raise ParseInputError(f"{where}: empty peer id")
     try:
-        u, d = float(upload), float(download)
+        u, d = number(upload), number(download)
     except (TypeError, ValueError):
         raise ParseInputError(
             f"{where}: u_bps and d_bps must be numbers, got {upload!r}, {download!r}"
@@ -130,6 +123,8 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
     "stream": {"package_bits": ..., "delay_ms": ...}}. Peer objects carry
     id, u_bps, d_bps.
     """
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fp:
             data = json.load(fp)
@@ -166,7 +161,7 @@ def _stream_section(path: str, section) -> dict:
     if not isinstance(section, dict):
         raise ParseInputError(f"{path}: \"stream\" must be an object, got {section!r}")
     try:
-        return {key: float(value) for key, value in section.items() if value is not None}
+        return {key: number(value) for key, value in section.items() if value is not None}
     except (TypeError, ValueError):
         raise ParseInputError(f"{path}: stream values must be numbers, got {section!r}") from None
 
@@ -299,6 +294,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import json
+    from dataclasses import replace
+
+    from acide.experiments import default_scenario, load_scenario, run_admission_sweep
+
     if args.input:
         try:
             spec = load_scenario(args.input)
@@ -328,6 +328,8 @@ def _suffixed(path: str, size: int) -> str:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from acide.experiments import admitted_vs_budget_curve
+
     seed, delay_s = _seed(args), _delay_s(args)
     for size in args.sizes:
         curve = admitted_vs_budget_curve(
@@ -340,6 +342,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, block_size_profile
+
     seed, delay_s = _seed(args), _delay_s(args)
     missing = [s for s in args.sizes if s not in DEFAULT_UPLOAD_RANGES]
     if missing:

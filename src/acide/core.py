@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+
+DEFAULT_SEED = 42
+DEFAULT_DELAY_BOUND = 0.2  # seconds
 
 # Violation codes reported by validate_cluster.
 DUPLICATE_ID = "duplicate-id"
@@ -33,13 +35,22 @@ UPLOAD_OVER_MIN_DOWNLOAD = "upload-over-min-download"
 STREAM_OVER_MEAN_UPLOAD = "stream-over-mean-upload"
 
 
+def number(value, kind: type = float):
+    """kind(value) for a value read from an input file, refusing JSON's true and false.
+
+    bool is an int subclass, so float(True) is 1.0 and would pass as a number.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return kind(value)
+
+
 def close(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
     """Equality at the library's working tolerance."""
     return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
 
 
-@dataclass(frozen=True)
-class PeerProfile:
+class PeerProfile(NamedTuple):
     """One user's link capacities in bits/second.
 
     A well-formed peer uploads no faster than it downloads and has strictly
@@ -52,31 +63,41 @@ class PeerProfile:
     download: float
 
 
-@dataclass(frozen=True)
-class StreamParams:
+class _StreamFields(NamedTuple):
+    package_size: float
+    delay_bound: float
+
+
+class StreamParams(_StreamFields):
     """A livestream's package size (bits) and delay bound (seconds).
 
     Each package must be fully delivered within one delay-bound window for
     playback to continue without stalling. The ratio package_size/delay_bound
     is the livestream bandwidth: the rate a single consumer would need.
+    Both values must be positive and finite; copies made with _replace or
+    _make are checked like new values.
     """
 
-    package_size: float
-    delay_bound: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.package_size > 0 and math.isfinite(self.package_size)):
-            raise ValueError(f"package_size must be positive and finite, got {self.package_size}")
-        if not (self.delay_bound > 0 and math.isfinite(self.delay_bound)):
-            raise ValueError(f"delay_bound must be positive and finite, got {self.delay_bound}")
+    def __new__(cls, package_size: float, delay_bound: float) -> StreamParams:
+        if not (package_size > 0 and math.isfinite(package_size)):
+            raise ValueError(f"package_size must be positive and finite, got {package_size}")
+        if not (delay_bound > 0 and math.isfinite(delay_bound)):
+            raise ValueError(f"delay_bound must be positive and finite, got {delay_bound}")
+        return super().__new__(cls, package_size, delay_bound)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> StreamParams:
+        # The tuple's own _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
     @property
     def livestream_bandwidth(self) -> float:
         return self.package_size / self.delay_bound
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
+class AllocationPlan(NamedTuple):
     """A solved allocation: who gets which block at what rate.
 
     Peers are sorted ascending by upload; block_sizes and peer_bandwidths are
@@ -98,14 +119,12 @@ class AllocationPlan:
     phase2_time: float
 
 
-@dataclass(frozen=True)
-class AssumptionViolation:
+class AssumptionViolation(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of validate_cluster: empty violations means the cluster is usable."""
 
     violations: tuple[AssumptionViolation, ...]

@@ -18,10 +18,17 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from acide.admission import _first_kept
-from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
+from acide.core import (
+    DEFAULT_DELAY_BOUND,
+    DEFAULT_SEED,
+    PeerProfile,
+    StreamParams,
+    allocated_bandwidth,
+    min_bandwidth,
+    number,
+    sort_peers,
+)
 
-DEFAULT_SEED = 42
-DEFAULT_DELAY_BOUND = 0.2  # seconds
 DEFAULT_LIVESTREAM_BANDWIDTHS = (10000.0, 12000.0, 14000.0, 16000.0)
 DEFAULT_CLUSTER_SIZES = (5, 10, 15, 20, 40, 60)
 
@@ -333,25 +340,25 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpe
     arrive as JSON strings and are converted back to integer sizes.
     """
     try:
-        sizes = tuple(int(s) for s in data.get("cluster_sizes", DEFAULT_CLUSTER_SIZES))
+        sizes = tuple(number(s, int) for s in data.get("cluster_sizes", DEFAULT_CLUSTER_SIZES))
         upload_ranges = {
-            int(k): (float(v[0]), float(v[1]))
+            int(k): (number(v[0]), number(v[1]))
             for k, v in data.get("upload_ranges", DEFAULT_UPLOAD_RANGES).items()
         }
         download_ranges = {
-            int(k): (float(v[0]), float(v[1]))
+            int(k): (number(v[0]), number(v[1]))
             for k, v in data.get("download_ranges", DEFAULT_DOWNLOAD_RANGES).items()
         }
         return ScenarioSpec(
             cluster_sizes=sizes,
             upload_ranges={s: upload_ranges[s] for s in sizes},
             download_ranges={s: download_ranges[s] for s in sizes},
-            delay_bound=float(data.get("delay_bound_s", DEFAULT_DELAY_BOUND)),
+            delay_bound=number(data.get("delay_bound_s", DEFAULT_DELAY_BOUND)),
             livestream_bandwidths=tuple(
-                float(v) for v in data.get("livestream_bandwidths_bps", DEFAULT_LIVESTREAM_BANDWIDTHS)
+                number(v) for v in data.get("livestream_bandwidths_bps", DEFAULT_LIVESTREAM_BANDWIDTHS)
             ),
-            budgets=tuple(float(b) for b in data.get("budgets_bps", DEFAULT_BUDGETS)),
-            seed=int(data.get("seed", DEFAULT_SEED)),
+            budgets=tuple(number(b) for b in data.get("budgets_bps", DEFAULT_BUDGETS)),
+            seed=number(data.get("seed", DEFAULT_SEED), int),
         )
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"{source}: malformed scenario: {exc}") from exc

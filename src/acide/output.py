@@ -10,7 +10,6 @@ admission outcomes and traces are also written as nested JSON documents.
 from __future__ import annotations
 
 import csv
-import json
 from typing import IO, TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -65,6 +64,8 @@ def table_dicts(columns: Columns, rows: Iterable[Sequence]) -> list[dict]:
 
 
 def write_json(fp: IO[str], data: Any) -> None:
+    import json  # here, so that a command writing no JSON does not load it
+
     json.dump(data, fp, indent=2, sort_keys=True)
     fp.write("\n")
 

@@ -12,8 +12,7 @@ delay bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO
+from typing import IO, NamedTuple
 
 from acide.core import AllocationPlan, StreamParams
 from acide.output import trace_document, write_json
@@ -21,8 +20,7 @@ from acide.output import trace_document, write_json
 BASE_STATION = "base-station"
 
 
-@dataclass(frozen=True, slots=True)
-class TransferEvent:
+class TransferEvent(NamedTuple):
     """One timed transfer of a block; step is 0 for phase 1, 1..n-1 for phase 2."""
 
     phase: int
@@ -42,8 +40,7 @@ def _timing(plan: AllocationPlan) -> tuple[list[float], float, list[float], floa
     return phase1_ends, max(phase1_ends), durations, max(durations)
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     plan: AllocationPlan
     completion_times: dict[str, float]
     makespan: float
@@ -70,8 +67,7 @@ class SimulationTrace:
         return tuple(events)
 
 
-@dataclass(frozen=True)
-class PlaybackReport:
+class PlaybackReport(NamedTuple):
     """Continuous iff every peer completes within the delay bound.
 
     worst_peer is the last peer to hold the full package; overshoot is its
@@ -113,8 +109,11 @@ def simulate(plan: AllocationPlan) -> SimulationTrace:
     starts only at that barrier. So a peer completes when its block from the
     next position around the ring arrives in step n-1: at
     t2 + (n-2)*L + s_{r+1}/u_{r+1}, with t2 the phase-2 start and L the step
-    length. A plan that violates its own timing shows up here as a makespan
-    past the delay bound rather than as an error.
+    length. The result is the latest arrival in the floats the events carry:
+    when steps are so short that t2 absorbs them, an earlier step's arrival
+    can end later than the last one, and then it counts. A plan that violates
+    its own timing shows up here as a makespan past the delay bound rather
+    than as an error.
     """
     n = len(plan.peers)
     if n == 0:
@@ -134,7 +133,18 @@ def simulate(plan: AllocationPlan) -> SimulationTrace:
     else:
         # The start of step n-1, the same float the events give it.
         last_start = phase2_start + (n - 2) * step_length
-        completion = {peer.id: last_start + durations[(r + 1) % n] for r, peer in enumerate(plan.peers)}
+        # Rounding is monotone, so no arrival before step n-1 ends after this
+        # bound. Only a peer whose last arrival ends below it, which takes step
+        # lengths near the resolution of the phase-2 start, needs its earlier
+        # arrivals (from sender r - step in step `step`) checked too.
+        bound = phase2_start + (n - 3) * step_length + step_length
+        completion = {}
+        for r, peer in enumerate(plan.peers):
+            end = last_start + durations[(r + 1) % n]
+            if end < bound:
+                end = max([end, *(phase2_start + (step - 1) * step_length + durations[(r - step) % n]
+                                  for step in range(1, n - 1))])
+            completion[peer.id] = end
     return SimulationTrace(plan=plan, completion_times=completion, makespan=max(completion.values()))
 
 

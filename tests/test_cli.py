@@ -163,6 +163,40 @@ class TestSolve:
         assert "stream.json" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "peer",
+        [
+            {"id": "b", "u_bps": True, "d_bps": 30000},
+            {"id": "b", "u_bps": 15000, "d_bps": False},
+        ],
+        ids=["true-upload", "false-download"],
+    )
+    def test_boolean_bandwidth_is_parse_error(self, tmp_path, capsys, peer):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps([{"id": "a", "u_bps": 10000, "d_bps": 20000}, peer]), encoding="utf-8")
+        code = main(["solve", "--input", str(path), "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[parse]" in captured.err
+        assert "bool.json: peer #2" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "stream",
+        [{"package_bits": True}, {"package_bits": 2000, "delay_ms": True}, {"livestream_bps": False}],
+        ids=["true-package", "true-delay", "false-rate"],
+    )
+    def test_boolean_stream_value_is_parse_error(self, tmp_path, capsys, stream):
+        path = tmp_path / "stream.json"
+        peers = [{"id": "a", "u_bps": 20000, "d_bps": 40000}, {"id": "b", "u_bps": 20000, "d_bps": 40000}]
+        path.write_text(json.dumps({"peers": peers, "stream": stream}), encoding="utf-8")
+        code = main(["solve", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error[parse]" in captured.err
+        assert "stream.json" in captured.err
+        assert captured.out == ""
+
     def test_nan_delay_is_validation_error(self, peers_csv, capsys):
         code = main(["solve", "--input", peers_csv, "--livestream-bps", "10000", "--delay-ms", "nan"])
         captured = capsys.readouterr()
@@ -379,6 +413,28 @@ class TestSweep:
         assert code == 2
         assert captured.err.startswith("error[validation]")
         assert field in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"seed": True},
+            {"cluster_sizes": [True]},
+            {"upload_ranges": {"5": [10000, True]}},
+            {"delay_bound_s": False},
+            {"livestream_bandwidths_bps": [True]},
+            {"budgets_bps": [20000, True]},
+        ],
+        ids=["seed", "size", "range", "delay", "rate", "budget"],
+    )
+    def test_boolean_scenario_value_is_malformed(self, tmp_path, capsys, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"cluster_sizes": [5], **scenario}), encoding="utf-8")
+        code = main(["sweep", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error[validation]")
+        assert "malformed scenario" in captured.err
         assert captured.out == ""
 
     def test_stdout_when_no_output(self, capsys):

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -151,7 +150,7 @@ class TestSimulate:
         plan = min_bandwidth(TRIO, STREAM)
         sizes = list(plan.block_sizes)
         sizes[0] *= 1.01
-        trace = simulate(replace(plan, block_sizes=tuple(sizes)))
+        trace = simulate(plan._replace(block_sizes=tuple(sizes)))
         report = playback_check(trace, STREAM)
         assert not report.continuous
         assert trace.makespan > STREAM.delay_bound
@@ -173,9 +172,9 @@ class TestSimulate:
     def test_mismatched_plan_rejected(self):
         plan = min_bandwidth(TRIO, STREAM)
         with pytest.raises(ValueError):
-            simulate(replace(plan, block_sizes=plan.block_sizes[:2]))
+            simulate(plan._replace(block_sizes=plan.block_sizes[:2]))
         with pytest.raises(ValueError):
-            simulate(replace(plan, peer_bandwidths=(1.0, -5.0, 1.0)))
+            simulate(plan._replace(peer_bandwidths=(1.0, -5.0, 1.0)))
 
 
 class TestPlaybackCheck:
@@ -184,7 +183,7 @@ class TestPlaybackCheck:
         trace = simulate(plan)
         delayed = dict(trace.completion_times)
         delayed["b"] += 0.05
-        late = replace(trace, completion_times=delayed, makespan=max(delayed.values()))
+        late = trace._replace(completion_times=delayed, makespan=max(delayed.values()))
         report = playback_check(late, STREAM)
         assert not report.continuous
         assert report.worst_peer == "b"
