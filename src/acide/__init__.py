@@ -17,7 +17,7 @@ _EXPORTS = {
     "AssumptionViolation": "core",
     "ExperimentRecord": "experiments",
     "InfeasibleClusterError": "core",
-    "InsufficientBudgetError": "admission",
+    "InsufficientBudgetError": "core",
     "PeerProfile": "core",
     "PlaybackReport": "sim",
     "ScenarioSpec": "experiments",

@@ -17,24 +17,15 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from acide.core import (
     AllocationPlan,
+    InsufficientBudgetError,
     PeerProfile,
     StreamParams,
-    allocated_bandwidth,
-    min_bandwidth,
+    checked_upload_total,
+    plan_sorted,
+    requirement,
     sort_peers,
+    upload_total,
 )
-
-class InsufficientBudgetError(ValueError):
-    """The budget is below the livestream bandwidth, so not even one peer fits."""
-
-    def __init__(self, budget: float, livestream_bandwidth: float) -> None:
-        self.budget = budget
-        self.livestream_bandwidth = livestream_bandwidth
-        super().__init__(
-            f"budget {budget:.2f} bps is below the livestream bandwidth "
-            f"{livestream_bandwidth:.2f} bps; no cluster can be formed"
-        )
-
 
 class _BudgetFields(NamedTuple):
     given_allocated_bandwidth: float
@@ -82,19 +73,19 @@ class AdmissionOutcome(NamedTuple):
     rejected: tuple[PeerProfile, ...]
 
 
-def _first_kept(
-    ordered: Sequence[PeerProfile], stream: StreamParams, fits: Callable[[float], bool]
-) -> int:
-    """Index of the first peer kept: the smallest r whose suffix ordered[r:] fits.
+def _first_kept(uploads: Sequence[float], stream: StreamParams, fits: Callable[[float], bool]) -> int:
+    """Index of the first peer kept: the smallest r whose suffix uploads[r:] fits.
 
-    `ordered` is sorted ascending by upload and `fits` is a predicate on a
-    suffix's allocated_bandwidth that holds for every cost at or below some
-    threshold. Suffix costs fall as r grows, so the predicate is monotone in
-    r and a bisection over O(log N) suffixes finds the same r as a scan.
-    Returns len(ordered) when no suffix fits.
+    `uploads` are the positive, finite uploads of an upload-sorted pool, and
+    `fits` is a predicate on a suffix's requirement (its allocated_bandwidth,
+    priced from the same canonical upload sum) that holds for every cost at
+    or below some threshold. Suffix costs fall as r grows, so the predicate
+    is monotone in r and a bisection over O(log N) suffixes finds the same r
+    as a scan. Returns len(uploads) when no suffix fits.
     """
+    n = len(uploads)
     return bisect.bisect_left(
-        range(len(ordered)), True, key=lambda r: fits(allocated_bandwidth(ordered[r:], stream))
+        range(n), True, key=lambda r: fits(requirement(n - r, upload_total(uploads[r:]), stream))
     )
 
 
@@ -106,17 +97,19 @@ def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
     infeasible remainder (no valid allocation) counts as requiring infinite
     bandwidth, so it never fits. Raises InsufficientBudgetError when even a
     single peer does not fit, i.e. the budget is below the livestream
-    bandwidth.
+    bandwidth, and ValueError when an upload is not positive and finite.
     """
     ordered = sort_peers(budget.candidates)
+    uploads = [p.upload for p in ordered]
+    # Checked once here, so the bisection's suffix sums need no check.
+    checked_upload_total(ordered, uploads)
     cap = budget.given_allocated_bandwidth
-    removed = _first_kept(ordered, budget.stream, lambda required: required <= cap)
+    removed = _first_kept(uploads, budget.stream, lambda required: required <= cap)
     if removed == len(ordered):
         raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
-    remaining = ordered[removed:]
-    plan = min_bandwidth(remaining, budget.stream)
+    plan = plan_sorted(ordered[removed:], budget.stream)
     return AdmissionOutcome(
-        admitted=tuple(remaining),
+        admitted=plan.peers,
         plan=plan,
         efficiency=plan.total_bandwidth / cap,
         rejected=tuple(ordered[:removed]),

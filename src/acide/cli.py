@@ -15,27 +15,29 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from acide import output
-from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
 from acide.core import (
     DEFAULT_DELAY_BOUND,
     DEFAULT_SEED,
     DUPLICATE_ID,
     UPLOAD_OVER_DOWNLOAD,
     InfeasibleClusterError,
+    InsufficientBudgetError,
     PeerProfile,
     StreamParams,
     min_bandwidth,
     number,
     validate_cluster,
 )
-from acide.sim import playback_check, simulate
 
-# json, dataclasses and acide.experiments are imported only by the functions
-# that use them, so solve, admit and simulate on a CSV file start without them.
+if TYPE_CHECKING:
+    from acide import output
+
+# json, dataclasses, pathlib and the acide modules other than core are imported
+# only by the functions that use them: admit loads neither acide.sim nor
+# acide.output, and simulate without --output loads neither acide.admission
+# nor acide.output.
 
 SEED_ENV_VAR = "ACIDE_SEED"
 
@@ -94,21 +96,44 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
     return PeerProfile(id=str(ident), upload=u, download=d)
 
 
+def _csv_row(path: str, lineno: int, row: list[str]) -> PeerProfile | None:
+    """One CSV row with every check; None for a blank row or a header on line 1."""
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return None
+    if lineno == 1 and [c.strip().lower() for c in row[:1]] == ["id"]:
+        return None
+    if len(row) != 3:
+        raise ParseInputError(f"{path}:{lineno}: expected 3 fields id,u_bps,d_bps, got {len(row)}")
+    return _peer(f"{path}:{lineno}", row[0].strip(), row[1], row[2])
+
+
 def load_peers_csv(path: str) -> list[PeerProfile]:
-    """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional."""
+    """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional.
+
+    Rows after the first that hold a well-formed peer are read inline. The
+    first row, which may be the header, and every row the inline test turns
+    down go through _csv_row, which skips blank rows and gives each error
+    its message, so both routes accept and refuse the same rows.
+    """
+    inf = math.inf
     peers = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
             for lineno, row in enumerate(csv.reader(fp), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if lineno == 1 and [c.strip().lower() for c in row[:1]] == ["id"]:
-                    continue
-                if len(row) != 3:
-                    raise ParseInputError(
-                        f"{path}:{lineno}: expected 3 fields id,u_bps,d_bps, got {len(row)}"
-                    )
-                peers.append(_peer(f"{path}:{lineno}", row[0].strip(), row[1], row[2]))
+                if lineno > 1:
+                    try:
+                        ident, upload, download = row
+                        u, d = float(upload), float(download)
+                    except ValueError:
+                        pass
+                    else:
+                        ident = ident.strip()
+                        if ident and 0 < u < inf and 0 < d < inf:
+                            peers.append(PeerProfile(ident, u, d))
+                            continue
+                peer = _csv_row(path, lineno, row)
+                if peer is not None:
+                    peers.append(peer)
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
     if not peers:
@@ -215,6 +240,8 @@ def _write_output(
     Commands whose JSON is a nested document rather than the table pass
     `document`, which is only built when JSON is asked for.
     """
+    from acide import output
+
     fmt = args.format
     with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fp:
         if document is not None and fmt == "json":
@@ -244,6 +271,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     plan = min_bandwidth(peers, stream)
     _print_plan(plan)
     if args.output:
+        from acide import output
+
         _write_output(args, args.output, output.PLAN_COLUMNS, output.plan_rows(plan),
                       lambda: output.plan_document(plan))
         print(f"wrote {args.output}")
@@ -251,6 +280,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_admit(args: argparse.Namespace) -> int:
+    from acide.admission import AdmissionBudget, join_cluster
+
     peers, stream_info = _load_peer_input(args.input)
     stream = _resolve_stream(args, stream_info)
     # Candidates only need distinct ids and individually consistent links
@@ -267,6 +298,8 @@ def _cmd_admit(args: argparse.Namespace) -> int:
     if outcome.rejected:
         print(f"rejected: {', '.join(p.id for p in outcome.rejected)}")
     if args.output:
+        from acide import output
+
         _write_output(args, args.output, output.PLAN_COLUMNS, output.plan_rows(outcome.plan),
                       lambda: output.outcome_document(outcome))
         print(f"wrote {args.output}")
@@ -274,6 +307,8 @@ def _cmd_admit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from acide.sim import playback_check, simulate
+
     peers, stream_info = _load_peer_input(args.input)
     stream = _resolve_stream(args, stream_info)
     if not _report_violations(peers, stream):
@@ -287,6 +322,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not report.continuous:
         print(f"worst peer: {report.worst_peer} overshoot {report.overshoot:.9f} s")
     if args.output:
+        from acide import output
+
         _write_output(args, args.output, output.TRACE_COLUMNS, output.trace_rows(trace),
                       lambda: output.trace_document(trace))
         print(f"wrote {args.output}")
@@ -297,6 +334,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     from dataclasses import replace
 
+    from acide import output
     from acide.experiments import default_scenario, load_scenario, run_admission_sweep
 
     if args.input:
@@ -323,11 +361,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _suffixed(path: str, size: int) -> str:
+    from pathlib import Path
+
     p = Path(path)
     return str(p.with_name(f"{p.stem}_n{size}{p.suffix or '.csv'}"))
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from acide import output
     from acide.experiments import admitted_vs_budget_curve
 
     seed, delay_s = _seed(args), _delay_s(args)
@@ -342,6 +383,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from acide import output
     from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, block_size_profile
 
     seed, delay_s = _seed(args), _delay_s(args)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 REL_TOL = 1e-9
@@ -39,9 +41,12 @@ def number(value, kind: type = float):
     """kind(value) for a value read from an input file, refusing JSON's true and false.
 
     bool is an int subclass, so float(True) is 1.0 and would pass as a number.
+    For kind=int the value must also be whole: int(5.7) would quietly give 5.
     """
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
     return kind(value)
 
 
@@ -137,6 +142,18 @@ class ValidationReport(NamedTuple):
         return [v.code for v in self.violations]
 
 
+class InsufficientBudgetError(ValueError):
+    """The budget is below the livestream bandwidth, so not even one peer fits."""
+
+    def __init__(self, budget: float, livestream_bandwidth: float) -> None:
+        self.budget = budget
+        self.livestream_bandwidth = livestream_bandwidth
+        super().__init__(
+            f"budget {budget:.2f} bps is below the livestream bandwidth "
+            f"{livestream_bandwidth:.2f} bps; no cluster can be formed"
+        )
+
+
 class InfeasibleClusterError(ValueError):
     """No allocation can meet the delay bound for this cluster and stream.
 
@@ -178,8 +195,9 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     downloads = [p.download for p in peer_list]
     violations: list[AssumptionViolation] = []
 
-    repeated = sorted(i for i, count in Counter(p.id for p in peer_list).items() if count > 1)
-    if repeated:
+    ids = [p.id for p in peer_list]
+    if len(set(ids)) != len(ids):
+        repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
         violations.append(
             AssumptionViolation(DUPLICATE_ID, f"peer id(s) given more than once: {', '.join(repeated)}")
         )
@@ -224,57 +242,83 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
 
 def sort_peers(peers: Iterable[PeerProfile]) -> list[PeerProfile]:
     """Sort ascending by upload, ties by download then id (total order)."""
-    return sorted(peers, key=lambda p: (p.upload, p.download, p.id))
+    return sorted(peers, key=itemgetter(1, 2, 0))
 
 
-def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParams) -> float:
-    """Minimum total base-station bandwidth for this cluster, or inf if infeasible.
+def upload_total(uploads: Iterable[float]) -> float:
+    """The canonical upload sum: left to right in double precision, as a += loop adds.
 
-    Closed form S / (T - (n-1)*S/sum_uploads). Written in this form so the
-    single-peer case reduces to exactly S/T. Returns math.inf as the
-    infeasibility sentinel when the time budget left for phase 1 is not
-    positive; admission loops rely on this instead of an exception.
+    Every requirement and plan is priced with this one expression, so a set
+    of peers costs the same float wherever it is priced. Not sum(), which
+    from Python 3.12 compensates its rounding and would give other floats
+    than earlier interpreters.
     """
-    n = len(sorted_peers)
-    if n == 0:
-        raise ValueError("allocated_bandwidth requires at least one peer")
-    sum_upload = 0.0
-    for peer in sorted_peers:
-        if peer.upload <= 0:
-            raise ValueError(f"peer {peer.id} has non-positive upload")
-        sum_upload += peer.upload
+    return reduce(add, uploads, 0.0)
+
+
+def checked_upload_total(peers: Sequence[PeerProfile], uploads: Sequence[float]) -> float:
+    """upload_total(uploads), after checking that every upload is positive and finite.
+
+    `uploads` are the uploads of `peers`, in order. min and max do not see a
+    NaN reliably, since it compares false both ways, but the sum then is NaN.
+    """
+    total = upload_total(uploads)
+    if not (min(uploads) > 0 and max(uploads) < math.inf and total == total):
+        bad = next(p for p in peers if not 0 < p.upload < math.inf)
+        raise ValueError(f"peer {bad.id} has an upload that is not positive and finite: {bad.upload}")
+    return total
+
+
+def requirement(n: int, sum_upload: float, params: StreamParams) -> float:
+    """S / (T - (n-1)*S/sum_upload): the least bandwidth for n peers uploading sum_upload.
+
+    Written in this form so the single-peer case reduces to exactly S/T.
+    Returns math.inf as the infeasibility sentinel when the time budget left
+    for phase 1 is not positive.
+    """
     phase1_budget = params.delay_bound - (n - 1) * params.package_size / sum_upload
     if phase1_budget <= 0:
         return math.inf
     return params.package_size / phase1_budget
 
 
-def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> AllocationPlan:
-    """Compute the bandwidth-minimal allocation plan for a cluster.
+def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParams) -> float:
+    """Minimum total base-station bandwidth for this cluster, or inf if infeasible.
 
-    Sorts the peers ascending by upload and gives each peer a block
-    proportional to its upload, S*u_i/sum_uploads. Phase 2 needs
-    (n-1)*S/sum_uploads seconds for the n-1 exchange steps, phase 1 gets the
-    rest of the delay bound, and each peer's phase-1 bandwidth is its block
-    size over the phase-1 time, making all phase-1 transfers finish together.
-    The upload total is summed in the same order as allocated_bandwidth sums
-    it, so phase1_time is the same float that total_bandwidth divides by.
+    The closed form of `requirement` over the canonical upload sum. Returns
+    math.inf as the infeasibility sentinel; admission loops rely on this
+    instead of an exception. Raises ValueError for an empty cluster and for
+    an upload that is not positive and finite.
+    """
+    if not sorted_peers:
+        raise ValueError("allocated_bandwidth requires at least one peer")
+    uploads = [p.upload for p in sorted_peers]
+    return requirement(len(uploads), checked_upload_total(sorted_peers, uploads), params)
+
+
+def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> AllocationPlan:
+    """The bandwidth-minimal plan for peers already sorted by sort_peers.
+
+    Gives each peer a block proportional to its upload, S*u_i/sum_uploads.
+    Phase 2 needs (n-1)*S/sum_uploads seconds for the n-1 exchange steps,
+    phase 1 gets the rest of the delay bound, and each peer's phase-1
+    bandwidth is its block size over the phase-1 time, making all phase-1
+    transfers finish together. The upload total is the canonical one, so
+    phase1_time is the same float that allocated_bandwidth divides by.
 
     Raises InfeasibleClusterError when no allocation can meet the delay bound.
     """
-    ordered = sort_peers(peers)
-    n = len(ordered)
-    if n == 0:
+    if not ordered:
         raise ValueError("min_bandwidth requires at least one peer")
-    total = allocated_bandwidth(ordered, params)
-    sum_upload = 0.0
-    for peer in ordered:
-        sum_upload += peer.upload
+    n = len(ordered)
+    uploads = [p.upload for p in ordered]
+    sum_upload = checked_upload_total(ordered, uploads)
+    total = requirement(n, sum_upload, params)
     if math.isinf(total):
         raise InfeasibleClusterError(n, sum_upload, params)
     phase2 = (n - 1) * params.package_size / sum_upload
     phase1 = params.delay_bound - phase2
-    sizes = [params.package_size * p.upload / sum_upload for p in ordered]
+    sizes = [params.package_size * u / sum_upload for u in uploads]
     bandwidths = [s / phase1 for s in sizes]
     return AllocationPlan(
         peers=tuple(ordered),
@@ -285,3 +329,12 @@ def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> Allocat
         phase2_time=phase2,
     )
 
+
+def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> AllocationPlan:
+    """Compute the bandwidth-minimal allocation plan for a cluster.
+
+    Sorts the peers ascending by upload (sort_peers) and plans them with
+    plan_sorted. Raises InfeasibleClusterError when no allocation can meet
+    the delay bound.
+    """
+    return plan_sorted(sort_peers(peers), params)

@@ -216,10 +216,11 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
     }
     records: list[ExperimentRecord] = []
     for size in sorted(set(spec.cluster_sizes)):
+        uploads = [p.upload for p in pools[size]]
         for rate in sorted(set(spec.livestream_bandwidths)):
             stream = StreamParams(package_size=rate * spec.delay_bound, delay_bound=spec.delay_bound)
             for budget in sorted(set(spec.budgets), reverse=True):
-                removed = _first_kept(pools[size], stream, lambda required: required <= budget)
+                removed = _first_kept(uploads, stream, lambda required: required <= budget)
                 bw = allocated_bandwidth(pools[size][removed:], stream) if removed < size else 0.0
                 records.append(
                     ExperimentRecord(
@@ -262,7 +263,8 @@ def admitted_vs_budget_curve(
     pool = generate_peers(size, upload_range, download_range, seed)
     stream = StreamParams(package_size=livestream_bandwidth * delay_bound, delay_bound=delay_bound)
     low = stream.livestream_bandwidth
-    first_feasible = _first_kept(pool, stream, math.isfinite)
+    uploads = [p.upload for p in pool]
+    first_feasible = _first_kept(uploads, stream, math.isfinite)
     high = allocated_bandwidth(pool[first_feasible:], stream)
     if size == 1:
         grid = [high]
@@ -270,7 +272,7 @@ def admitted_vs_budget_curve(
         grid = [low + (high - low) * i / (size - 1) for i in range(size)]
         grid[0], grid[-1] = low, high
     return [
-        (budget, size - _first_kept(pool, stream, lambda required: required <= budget))
+        (budget, size - _first_kept(uploads, stream, lambda required: required <= budget))
         for budget in grid
     ]
 
@@ -337,7 +339,9 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpe
 
     Recognised keys: cluster_sizes, upload_ranges, download_ranges,
     delay_bound_s, livestream_bandwidths_bps, budgets_bps, seed. Range keys
-    arrive as JSON strings and are converted back to integer sizes.
+    arrive as JSON strings and are converted back to integer sizes. A value
+    of the wrong shape or type, or a size or seed that is not a whole
+    number, makes the scenario malformed; the spec then checks the ranges.
     """
     try:
         sizes = tuple(number(s, int) for s in data.get("cluster_sizes", DEFAULT_CLUSTER_SIZES))
@@ -349,7 +353,7 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpe
             int(k): (number(v[0]), number(v[1]))
             for k, v in data.get("download_ranges", DEFAULT_DOWNLOAD_RANGES).items()
         }
-        return ScenarioSpec(
+        fields = dict(
             cluster_sizes=sizes,
             upload_ranges={s: upload_ranges[s] for s in sizes},
             download_ranges={s: download_ranges[s] for s in sizes},
@@ -360,8 +364,9 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpe
             budgets=tuple(number(b) for b in data.get("budgets_bps", DEFAULT_BUDGETS)),
             seed=number(data.get("seed", DEFAULT_SEED), int),
         )
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ValueError(f"{source}: malformed scenario: {exc}") from exc
+    return ScenarioSpec(**fields)
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import IO, NamedTuple
 
 from acide.core import AllocationPlan, StreamParams
-from acide.output import trace_document, write_json
 
 BASE_STATION = "base-station"
 
@@ -165,4 +164,6 @@ def playback_check(trace: SimulationTrace, params: StreamParams) -> PlaybackRepo
 
 def write_trace_json(trace: SimulationTrace, fp: IO[str]) -> None:
     """Write the trace as its JSON document (acide.output.trace_document)."""
+    from acide.output import trace_document, write_json
+
     write_json(fp, trace_document(trace))

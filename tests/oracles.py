@@ -3,19 +3,24 @@
 These recompute expected values straight from definitions: the block-size
 system the closed form solves, exact rational arithmetic, exhaustive or
 linear searches in place of the library's bisection, and an event-by-event
-replay of the distribution in place of the simulation's closed form. The
-admission oracles price each candidate set with allocated_bandwidth, the
-library's one expression for a cluster's requirement, so a budget that sits
-exactly on a set's cost is judged by the same float on both sides.
+replay of the distribution in place of the simulation's closed form, a
++= loop in place of the canonical upload sum, and the row-by-row CSV reader
+in place of the CLI's inline one. The admission oracles price each
+candidate set with allocated_bandwidth, the library's one expression for a
+cluster's requirement, so a budget that sits exactly on a set's cost is
+judged by the same float on both sides.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from acide.admission import AdmissionBudget, AdmissionOutcome, InsufficientBudgetError
+from acide.cli import ParseInputError, _peer
 from acide.core import (
     AllocationPlan,
     PeerProfile,
@@ -229,3 +234,41 @@ def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TransferEvent, ...], 
             completion[event.receiver] = event.end_time
     makespan = max(completion.values())
     return tuple(events), completion, makespan
+
+
+def loop_allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParams) -> float:
+    """allocated_bandwidth with its upload sum taken by a += loop, left to right."""
+    n = len(sorted_peers)
+    if n == 0:
+        raise ValueError("allocated_bandwidth requires at least one peer")
+    sum_upload = 0.0
+    for peer in sorted_peers:
+        if peer.upload <= 0:
+            raise ValueError(f"peer {peer.id} has non-positive upload")
+        sum_upload += peer.upload
+    phase1_budget = params.delay_bound - (n - 1) * params.package_size / sum_upload
+    if phase1_budget <= 0:
+        return math.inf
+    return params.package_size / phase1_budget
+
+
+def reference_load_peers_csv(path: str) -> list[PeerProfile]:
+    """The CSV peer reader that checks every row with cli._peer."""
+    peers = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            for lineno, row in enumerate(csv.reader(fp), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if lineno == 1 and [c.strip().lower() for c in row[:1]] == ["id"]:
+                    continue
+                if len(row) != 3:
+                    raise ParseInputError(
+                        f"{path}:{lineno}: expected 3 fields id,u_bps,d_bps, got {len(row)}"
+                    )
+                peers.append(_peer(f"{path}:{lineno}", row[0].strip(), row[1], row[2]))
+    except OSError as exc:
+        raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
+    if not peers:
+        raise ParseInputError(f"{path}: no peers found")
+    return peers

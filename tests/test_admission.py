@@ -132,6 +132,13 @@ class TestJoinCluster:
                 assert n <= previous
             previous = n
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_upload_not_positive_and_finite_raises(self, bad):
+        # A generous budget: with the bad peer unpriced, b alone would be admitted.
+        pool = (PeerProfile("a", bad, 1e5), peer("b", 5e4, 1e5))
+        with pytest.raises(ValueError, match="peer a has an upload that is not positive and finite"):
+            join_cluster(AdmissionBudget(1e6, pool, STREAM))
+
 
 class TestAdmittedUpperBound:
     def test_three_peer_example(self):

@@ -437,6 +437,35 @@ class TestSweep:
         assert "malformed scenario" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"cluster_sizes": [5.7]},
+            {"cluster_sizes": [5], "seed": 1.9},
+            {"cluster_sizes": [5], "upload_ranges": {"5.7": [10000, 20000]}},
+            {"cluster_sizes": [5], "download_ranges": {"5.7": [20000, 30000]}},
+        ],
+        ids=["size", "seed", "upload-range-key", "download-range-key"],
+    )
+    def test_fractional_integer_scenario_value_is_malformed(self, tmp_path, capsys, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code = main(["sweep", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error[validation]")
+        assert "malformed scenario" in captured.err
+        assert "5.7" in captured.err or "1.9" in captured.err
+        assert captured.out == ""
+
+    def test_whole_float_scenario_values_are_accepted(self, tmp_path, capsys):
+        whole = tmp_path / "whole.json"
+        whole.write_text(json.dumps({"cluster_sizes": [5.0], "seed": 1.0}), encoding="utf-8")
+        assert main(["sweep", "--input", str(whole)]) == 0
+        from_floats = capsys.readouterr().out
+        assert main(["sweep", "--sizes", "5", "--seed", "1"]) == 0
+        assert from_floats == capsys.readouterr().out
+
     def test_stdout_when_no_output(self, capsys):
         assert main(["sweep", "--sizes", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out

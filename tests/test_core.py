@@ -17,6 +17,7 @@ from acide.core import (
     allocated_bandwidth,
     close,
     min_bandwidth,
+    number,
     sort_peers,
     validate_cluster,
 )
@@ -191,7 +192,40 @@ class TestSolveBlockSizes:
             min_bandwidth([], STREAM)
 
 
+# Uploads the library refuses to plan with: NaN compares false with 0, so a
+# check written as `upload <= 0` lets it through.
+BAD_UPLOADS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+
+
+class TestNumber:
+    @pytest.mark.parametrize("value,want", [(5, 5), (5.0, 5), ("5", 5), (-3.0, -3)])
+    def test_whole_numbers_are_ints(self, value, want):
+        assert number(value, int) == want
+        assert type(number(value, int)) is int
+
+    @pytest.mark.parametrize("value", [5.7, 1.9, -0.5, math.nan, math.inf])
+    def test_fractional_or_non_finite_int_refused(self, value):
+        with pytest.raises(ValueError, match="whole number"):
+            number(value, int)
+
+    def test_floats_keep_their_fraction(self):
+        assert number(5.7) == 5.7
+
+    @pytest.mark.parametrize("kind", [int, float])
+    def test_booleans_refused(self, kind):
+        with pytest.raises(TypeError):
+            number(True, kind)
+
+
 class TestAllocatedBandwidth:
+    @pytest.mark.parametrize("bad", BAD_UPLOADS)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_upload_not_positive_and_finite_raises(self, bad, position):
+        peers = [peer("b", 5e4, 1e5)]
+        peers.insert(position, PeerProfile("a", bad, 1e5))
+        with pytest.raises(ValueError, match="peer a has an upload that is not positive and finite"):
+            allocated_bandwidth(peers, STREAM)
+
     def test_three_peer_example(self):
         assert close(allocated_bandwidth(sort_peers(TRIO), STREAM), 18000.0)
 
@@ -255,6 +289,11 @@ class TestMinBandwidth:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             min_bandwidth([], STREAM)
+
+    @pytest.mark.parametrize("bad", BAD_UPLOADS)
+    def test_upload_not_positive_and_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="peer a has an upload that is not positive and finite"):
+            min_bandwidth([PeerProfile("a", bad, 1e5), peer("b", 5e4, 1e5)], STREAM)
 
 
 @pytest.fixture(scope="module")

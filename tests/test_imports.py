@@ -1,7 +1,11 @@
-"""What importing acide loads, and the package's public names."""
+"""What importing acide and running its commands loads, the package's public
+names, and the names the benchmark's traced run calls."""
 
 from __future__ import annotations
 
+import ast
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +14,8 @@ import pytest
 
 import acide
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PUBLIC_NAMES = {
     "AdmissionBudget", "AdmissionOutcome", "AllocationPlan", "AssumptionViolation",
@@ -52,3 +57,79 @@ def test_unknown_name_raises_attribute_error():
         acide.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from acide import no_such_name  # noqa: F401
+
+
+# Runs one command in a fresh interpreter and prints its exit code and every
+# acide module loaded from before `import acide.cli` on, so that site hooks
+# do not count and a module that cli imports at the top does.
+COMMAND_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+before = set(sys.modules)
+from acide import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps([code, sorted(m for m in set(sys.modules) - before if m.startswith("acide"))]))
+"""
+
+
+def acide_modules_loaded_by(argv: list[str]) -> set[str]:
+    """The acide modules that running `cli.main(argv)` loads, after it exits 0."""
+    script = COMMAND_SCRIPT.format(src=str(SRC), argv=argv)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    code, loaded = json.loads(result.stdout)
+    assert code == 0, result.stderr
+    return set(loaded)
+
+
+@pytest.fixture
+def peers_csv(tmp_path):
+    path = tmp_path / "peers.csv"
+    path.write_text("id,u_bps,d_bps\na,10000,20000\nb,15000,30000\nc,20000,40000\n", encoding="utf-8")
+    return str(path)
+
+
+STREAM_FLAGS = ["--livestream-bps", "10000", "--delay-ms", "200"]
+
+
+def test_admit_loads_neither_sim_nor_output(peers_csv):
+    loaded = acide_modules_loaded_by(["admit", "--input", peers_csv, "--budget-bps", "15000", *STREAM_FLAGS])
+    assert "acide.admission" in loaded
+    assert not loaded & {"acide.sim", "acide.output", "acide.experiments"}
+
+
+def test_simulate_without_output_loads_neither_admission_nor_output(peers_csv):
+    loaded = acide_modules_loaded_by(["simulate", "--input", peers_csv, *STREAM_FLAGS])
+    assert "acide.sim" in loaded
+    assert not loaded & {"acide.admission", "acide.output", "acide.experiments"}
+
+
+def test_simulate_with_output_loads_output(peers_csv, tmp_path):
+    out = str(tmp_path / "trace.csv")
+    loaded = acide_modules_loaded_by(["simulate", "--input", peers_csv, *STREAM_FLAGS, "--output", out])
+    assert {"acide.sim", "acide.output"} <= loaded
+    assert "acide.admission" not in loaded
+
+
+BENCH_MODULES = ("cli", "core", "admission", "sim", "experiments")
+
+
+def bench_references(path: Path) -> set[tuple[str, str]]:
+    """Every (module, name) pair that `module.name` spells out in a bench file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in BENCH_MODULES
+    }
+
+
+def test_every_name_the_traced_benchmark_calls_exists():
+    references = bench_references(ROOT / "bench" / "traced.py")
+    assert {module for module, _ in references} == set(BENCH_MODULES)
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(references)
+        if not hasattr(importlib.import_module(f"acide.{module}"), name)
+    ]
+    assert missing == []

@@ -1,5 +1,6 @@
-"""Property tests: bisected admission, closed-form block sizes and the
-closed-form simulation against oracles.
+"""Property tests: bisected admission, the canonical upload sum, closed-form
+block sizes, the closed-form simulation and the CSV peer reader against
+oracles.
 
 Uploads span 1e-3 to 1e12 bps, pools run from a single peer up, and some
 pools are built from a few repeated values so that uploads tie. Examples are
@@ -8,6 +9,7 @@ derandomised so the suite gives the same verdict on every run.
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
@@ -16,9 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
+from acide.cli import ParseInputError, load_peers_csv
 from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
 from acide.sim import simulate
-from oracles import linear_suffix_scan, replay_simulation
+from oracles import (
+    linear_suffix_scan,
+    loop_allocated_bandwidth,
+    reference_load_peers_csv,
+    replay_simulation,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 DELAY = 0.2
@@ -68,6 +76,54 @@ def test_join_cluster_admits_what_a_linear_scan_admits(uploads, rate, data):
     outcome = join_cluster(budget)
     assert outcome.rejected == tuple(ordered[:removed])
     assert outcome.admitted == tuple(ordered[removed:])
+
+
+@PROPERTY
+@given(uploads=uploads_of(200), rate=bandwidths, data=st.data())
+def test_allocated_bandwidth_is_the_loop_sum_bit_for_bit(uploads, rate, data):
+    ordered = sort_peers(as_pool(uploads))
+    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
+    suffix = ordered[data.draw(st.integers(0, len(ordered) - 1)) :]
+    assert allocated_bandwidth(suffix, stream).hex() == loop_allocated_bandwidth(suffix, stream).hex()
+
+
+def mostly(common, rare):
+    """Draws from `rare` one time in ten, so that most files get past their first rows."""
+    return st.sampled_from([common] * 9 + [rare]).flatmap(lambda strategy: strategy)
+
+
+# CSV fields: bandwidths as repr or fixed text, and the spellings the reader
+# must refuse or normalise the same way on both routes.
+bandwidth_fields = mostly(
+    st.one_of(bandwidths.map(repr), bandwidths.map(lambda v: f"{v:.3f}")),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "-1", "0", "-0", "1_000", " 5 ", "", "x", "0x1"]),
+)
+id_fields = mostly(
+    st.text(alphabet="abcxyz019", min_size=1, max_size=4),
+    st.sampled_from(["", " ", "  a ", "x,y", 'q"t', "id", "ID ", "\t"]),
+)
+csv_rows = mostly(
+    st.tuples(id_fields, bandwidth_fields, bandwidth_fields).map(list),
+    st.lists(st.one_of(id_fields, bandwidth_fields), max_size=4),
+)
+
+
+@PROPERTY
+@given(rows=st.lists(csv_rows, max_size=8), header=st.booleans())
+def test_csv_reader_matches_the_reference_reader(tmp_path_factory, rows, header):
+    path = tmp_path_factory.getbasetemp() / "property-peers.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp)
+        if header:
+            writer.writerow(["id", "u_bps", "d_bps"])
+        writer.writerows(rows)
+    results = []
+    for reader in (load_peers_csv, reference_load_peers_csv):
+        try:
+            results.append((reader(str(path)), None))
+        except ParseInputError as exc:
+            results.append((None, str(exc)))
+    assert results[0] == results[1]
 
 
 @PROPERTY
