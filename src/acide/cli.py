@@ -18,6 +18,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from acide.core import (
+    BANDWIDTH_NOT_POSITIVE_FINITE,
     DEFAULT_DELAY_BOUND,
     DEFAULT_SEED,
     DUPLICATE_ID,
@@ -34,8 +35,8 @@ from acide.core import (
 if TYPE_CHECKING:
     from acide import output
 
-# json, dataclasses, pathlib and the acide modules other than core are imported
-# only by the functions that use them: admit loads neither acide.sim nor
+# json, pathlib and the acide modules other than core are imported only by
+# the functions that use them: admit loads neither acide.sim nor
 # acide.output, and simulate without --output loads neither acide.admission
 # nor acide.output.
 
@@ -284,9 +285,11 @@ def _cmd_admit(args: argparse.Namespace) -> int:
 
     peers, stream_info = _load_peer_input(args.input)
     stream = _resolve_stream(args, stream_info)
-    # Candidates only need distinct ids and individually consistent links
-    # here; pool-level feasibility is what admission itself decides.
-    if not _report_violations(peers, stream, codes=(DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)):
+    # Candidates only need usable bandwidths, distinct ids and individually
+    # consistent links here; pool-level feasibility is what admission itself
+    # decides.
+    codes = (BANDWIDTH_NOT_POSITIVE_FINITE, DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)
+    if not _report_violations(peers, stream, codes=codes):
         return EXIT_INVALID
     outcome = join_cluster(AdmissionBudget(float(args.budget_bps), tuple(peers), stream))
     print(f"admitted {len(outcome.admitted)} of {len(peers)} candidates")
@@ -324,7 +327,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.output:
         from acide import output
 
-        _write_output(args, args.output, output.TRACE_COLUMNS, output.trace_rows(trace),
+        _write_output(args, args.output, output.TRACE_COLUMNS, trace.events,
                       lambda: output.trace_document(trace))
         print(f"wrote {args.output}")
     return EXIT_OK
@@ -332,7 +335,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
-    from dataclasses import replace
 
     from acide import output
     from acide.experiments import default_scenario, load_scenario, run_admission_sweep
@@ -345,16 +347,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ParseInputError(f"{args.input}: {exc.strerror or exc}") from exc
         if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+            spec = spec._replace(seed=args.seed)
         if args.sizes:
-            missing = [s for s in args.sizes if s not in spec.upload_ranges]
-            if missing:
-                raise ValueError(f"scenario has no ranges for sizes {missing}")
-            spec = replace(spec, cluster_sizes=tuple(args.sizes))
+            spec = spec._replace(cluster_sizes=args.sizes)
     else:
         spec = default_scenario(cluster_sizes=args.sizes or None, seed=_seed(args))
     records = run_admission_sweep(spec)
-    _write_output(args, args.output, output.RECORD_COLUMNS, output.record_rows(records))
+    _write_output(args, args.output, output.RECORD_COLUMNS, records)
     if args.output:
         print(f"wrote {len(records)} records to {args.output}")
     return EXIT_OK

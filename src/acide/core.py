@@ -30,6 +30,7 @@ DEFAULT_SEED = 42
 DEFAULT_DELAY_BOUND = 0.2  # seconds
 
 # Violation codes reported by validate_cluster.
+BANDWIDTH_NOT_POSITIVE_FINITE = "bandwidth-not-positive-finite"
 DUPLICATE_ID = "duplicate-id"
 UPLOAD_OVER_DOWNLOAD = "upload-over-download"
 STREAM_OVER_CLUSTER_DOWNLOAD = "stream-over-cluster-download"
@@ -86,10 +87,11 @@ class StreamParams(_StreamFields):
     __slots__ = ()
 
     def __new__(cls, package_size: float, delay_bound: float) -> StreamParams:
-        if not (package_size > 0 and math.isfinite(package_size)):
-            raise ValueError(f"package_size must be positive and finite, got {package_size}")
+        # The delay bound first: a package size derived from a bad delay is bad too.
         if not (delay_bound > 0 and math.isfinite(delay_bound)):
             raise ValueError(f"delay_bound must be positive and finite, got {delay_bound}")
+        if not (package_size > 0 and math.isfinite(package_size)):
+            raise ValueError(f"package_size must be positive and finite, got {package_size}")
         return super().__new__(cls, package_size, delay_bound)
 
     @classmethod
@@ -179,6 +181,7 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     Report-only: never raises for a bad cluster, only for an empty peer list.
     Checked conditions, in order:
 
+      * every peer's upload and download are positive and finite
       * no two peers share an id
       * every peer's upload is at most its download
       * the livestream bandwidth is strictly below the cluster's download total
@@ -195,6 +198,21 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     downloads = [p.download for p in peer_list]
     violations: list[AssumptionViolation] = []
 
+    total_upload = sum(uploads)
+    total_download = sum(downloads)
+    min_download = min(downloads)
+    # A NaN hides from min, but it makes its sum NaN, which fails < inf.
+    if not (
+        min(uploads) > 0 and min_download > 0 and total_upload < math.inf and total_download < math.inf
+    ):
+        bad = [p.id for p in peer_list if not (0 < p.upload < math.inf and 0 < p.download < math.inf)]
+        if bad:  # else only a sum overflowed
+            violations.append(
+                AssumptionViolation(
+                    BANDWIDTH_NOT_POSITIVE_FINITE,
+                    f"upload or download is not positive and finite for peer(s): {', '.join(bad)}",
+                )
+            )
     ids = [p.id for p in peer_list]
     if len(set(ids)) != len(ids):
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
@@ -209,7 +227,6 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
                 f"upload exceeds download for peer(s): {', '.join(bad)}",
             )
         )
-    total_download = sum(downloads)
     if rate >= total_download:
         violations.append(
             AssumptionViolation(
@@ -219,7 +236,6 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
             )
         )
     max_upload = max(uploads)
-    min_download = min(downloads)
     if max_upload > min_download:
         violations.append(
             AssumptionViolation(
@@ -228,7 +244,7 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
                 f"{min_download:.2f} bps, so some peer cannot absorb another's block",
             )
         )
-    mean_upload = sum(uploads) / len(uploads)
+    mean_upload = total_upload / len(uploads)
     if rate > mean_upload:
         violations.append(
             AssumptionViolation(

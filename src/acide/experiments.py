@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from acide.admission import _first_kept
 from acide.core import (
@@ -74,10 +73,7 @@ DEFAULT_BUDGETS = (
 MAX_REDRAWS = 10000
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A reproducible sweep: sizes, draw ranges per size, stream values, budgets, seed."""
-
+class _ScenarioFields(NamedTuple):
     cluster_sizes: tuple[int, ...]
     upload_ranges: dict[int, tuple[float, float]]
     download_ranges: dict[int, tuple[float, float]]
@@ -86,20 +82,36 @@ class ScenarioSpec:
     budgets: tuple[float, ...]
     seed: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cluster_sizes", tuple(int(s) for s in self.cluster_sizes))
-        object.__setattr__(
-            self, "upload_ranges",
-            {int(k): (float(v[0]), float(v[1])) for k, v in self.upload_ranges.items()},
+
+def _ranges(ranges: Mapping) -> dict[int, tuple[float, float]]:
+    return {number(k, int): (number(v[0]), number(v[1])) for k, v in ranges.items()}
+
+
+class ScenarioSpec(_ScenarioFields):
+    """A reproducible sweep: sizes, draw ranges per size, stream values, budgets, seed.
+
+    Sizes, range keys and the seed must be whole numbers and are stored as
+    int; range ends, the delay bound, rates and budgets are stored as float.
+    Every size needs an upload and a download range; copies made with
+    _replace or _make are converted and checked like new values.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, cluster_sizes: Iterable[int], upload_ranges: Mapping, download_ranges: Mapping,
+        delay_bound: float, livestream_bandwidths: Iterable[float], budgets: Iterable[float], seed: int,
+    ) -> ScenarioSpec:
+        self = super().__new__(
+            cls,
+            tuple(number(s, int) for s in cluster_sizes),
+            _ranges(upload_ranges),
+            _ranges(download_ranges),
+            number(delay_bound),
+            tuple(number(v) for v in livestream_bandwidths),
+            tuple(number(b) for b in budgets),
+            number(seed, int),
         )
-        object.__setattr__(
-            self, "download_ranges",
-            {int(k): (float(v[0]), float(v[1])) for k, v in self.download_ranges.items()},
-        )
-        object.__setattr__(
-            self, "livestream_bandwidths", tuple(float(v) for v in self.livestream_bandwidths)
-        )
-        object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
         if not self.cluster_sizes:
             raise ValueError("scenario needs at least one cluster size")
         if not self.livestream_bandwidths or not self.budgets:
@@ -123,11 +135,16 @@ class ScenarioSpec:
                     raise ValueError(
                         f"{field}[{size}] must satisfy 0 < low <= high, both finite, got [{low}, {high}]"
                     )
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ScenarioSpec:
+        # The tuple's own _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One sweep cell: pool size N, stream rate, budget, and the admission result."""
+class ExperimentRecord(NamedTuple):
+    """One sweep cell, a RECORD_COLUMNS row: pool size N, stream rate, budget, admission result."""
 
     pool_size: int
     livestream_bandwidth: float
@@ -169,7 +186,7 @@ def generate_peers(
     u_low, u_high = upload_range
     d_low, d_high = download_range
     for low, high, label in ((u_low, u_high, "upload"), (d_low, d_high, "download")):
-        if not (0 < low <= high):
+        if not (0 < low <= high < math.inf):
             raise ValueError(f"bad {label} range [{low}, {high}]")
     if u_low > d_high:
         raise ValueError(
@@ -325,8 +342,8 @@ def default_scenario(cluster_sizes: Sequence[int] | None = None, seed: int = DEF
     sizes = tuple(cluster_sizes) if cluster_sizes is not None else DEFAULT_CLUSTER_SIZES
     return ScenarioSpec(
         cluster_sizes=sizes,
-        upload_ranges={s: DEFAULT_UPLOAD_RANGES[s] for s in sizes},
-        download_ranges={s: DEFAULT_DOWNLOAD_RANGES[s] for s in sizes},
+        upload_ranges={s: DEFAULT_UPLOAD_RANGES[s] for s in sizes if s in DEFAULT_UPLOAD_RANGES},
+        download_ranges={s: DEFAULT_DOWNLOAD_RANGES[s] for s in sizes if s in DEFAULT_DOWNLOAD_RANGES},
         delay_bound=DEFAULT_DELAY_BOUND,
         livestream_bandwidths=DEFAULT_LIVESTREAM_BANDWIDTHS,
         budgets=DEFAULT_BUDGETS,
@@ -345,14 +362,8 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpe
     """
     try:
         sizes = tuple(number(s, int) for s in data.get("cluster_sizes", DEFAULT_CLUSTER_SIZES))
-        upload_ranges = {
-            int(k): (number(v[0]), number(v[1]))
-            for k, v in data.get("upload_ranges", DEFAULT_UPLOAD_RANGES).items()
-        }
-        download_ranges = {
-            int(k): (number(v[0]), number(v[1]))
-            for k, v in data.get("download_ranges", DEFAULT_DOWNLOAD_RANGES).items()
-        }
+        upload_ranges = _ranges(data.get("upload_ranges", DEFAULT_UPLOAD_RANGES))
+        download_ranges = _ranges(data.get("download_ranges", DEFAULT_DOWNLOAD_RANGES))
         fields = dict(
             cluster_sizes=sizes,
             upload_ranges={s: upload_ranges[s] for s in sizes},

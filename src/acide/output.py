@@ -1,10 +1,12 @@
 """Every table and document the commands write, in one place.
 
 A table is a column spec, ((name, csv_format_spec), ...), and rows of raw
-values aligned with it. CSV renders each value as format(value, spec) through
-csv.writer, so bandwidths get fixed decimals and ids are quoted when they need
-it; JSON is a list of {name: raw value} objects at full precision. Plans,
-admission outcomes and traces are also written as nested JSON documents.
+values aligned with it; TransferEvent and ExperimentRecord keep their fields
+in the order of TRACE_COLUMNS and RECORD_COLUMNS, so their records are rows.
+CSV renders each value as format(value, spec) through csv.writer, so
+bandwidths get fixed decimals and ids are quoted when they need it; JSON is a
+list of {name: raw value} objects at full precision. Plans, admission
+outcomes and traces are also written as nested JSON documents.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import IO, TYPE_CHECKING, Any, Iterable, Sequence
 if TYPE_CHECKING:
     from acide.admission import AdmissionOutcome
     from acide.core import AllocationPlan
-    from acide.experiments import ExperimentRecord
     from acide.sim import SimulationTrace
 
 Columns = Sequence[tuple[str, str]]
@@ -36,20 +37,6 @@ def plan_rows(plan: AllocationPlan) -> Iterable[tuple]:
     return (
         (p.id, p.upload, p.download, s, bw)
         for p, s, bw in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths)
-    )
-
-
-def trace_rows(trace: SimulationTrace) -> Iterable[tuple]:
-    return (
-        (e.phase, e.step, e.sender, e.receiver, e.block_index, e.start_time, e.end_time, e.rate)
-        for e in trace.events
-    )
-
-
-def record_rows(records: Iterable[ExperimentRecord]) -> Iterable[tuple]:
-    return (
-        (r.pool_size, r.livestream_bandwidth, r.budget, r.n_admitted, r.allocated_bandwidth, r.efficiency_pct)
-        for r in records
     )
 
 
@@ -107,7 +94,7 @@ def outcome_document(outcome: AdmissionOutcome) -> dict:
 def trace_document(trace: SimulationTrace) -> dict:
     return {
         "plan": plan_document(trace.plan),
-        "events": table_dicts(TRACE_COLUMNS, trace_rows(trace)),
+        "events": table_dicts(TRACE_COLUMNS, trace.events),
         "completion_times_s": dict(sorted(trace.completion_times.items())),
         "makespan_s": trace.makespan,
     }

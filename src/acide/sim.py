@@ -20,7 +20,7 @@ BASE_STATION = "base-station"
 
 
 class TransferEvent(NamedTuple):
-    """One timed transfer of a block; step is 0 for phase 1, 1..n-1 for phase 2."""
+    """One timed transfer of a block, a TRACE_COLUMNS row; step is 0 for phase 1, 1..n-1 for phase 2."""
 
     phase: int
     step: int

@@ -35,7 +35,7 @@ from acide.experiments import (
     pool_seed,
     run_admission_sweep,
 )
-from acide.output import RECORD_COLUMNS, record_rows, write_table
+from acide.output import RECORD_COLUMNS, write_table
 from acide.sim import build_schedule, simulate
 from oracles import (
     brute_force_admission,
@@ -227,6 +227,6 @@ def test_criterion_7_reproducibility():
         for _ in range(2):
             records = run_admission_sweep(default_scenario(seed=4_321))
             buf = StringIO()
-            write_table(buf, "csv", RECORD_COLUMNS, record_rows(records))
+            write_table(buf, "csv", RECORD_COLUMNS, records)
             outputs.append(buf.getvalue().encode())
         assert outputs[0] == outputs[1]

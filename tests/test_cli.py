@@ -3,10 +3,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
+from acide import cli
 from acide.cli import main
+from acide.core import PeerProfile
 from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, generate_peers
 
 PEERS_CSV = "id,u_bps,d_bps\na,10000,20000\nb,15000,30000\nc,20000,40000\n"
@@ -584,3 +587,50 @@ def test_pool_outputs_match_pinned_digests(tmp_path, pool_csv, fmt):
     assert main(["profile", "--sizes", "5", "120", *rate, "--seed", "42", *out("profile")]) == 0
     names = ["solve", "admit", "simulate", "profile_n5", "profile_n120"]
     _assert_pinned(tmp_path, [f"{name}.{fmt}" for name in names])
+
+
+@pytest.mark.parametrize("delay_ms", ["0", "-5", "nan"])
+def test_bad_delay_is_named_as_the_delay(peers_csv, capsys, delay_ms):
+    code = main(["solve", "--input", peers_csv, "--livestream-bps", "10000", "--delay-ms", delay_ms])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error[validation]: delay_bound must be positive and finite, got {float(delay_ms) / 1000.0}\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "sizes,message",
+    [
+        (["7"], "no upload/download range given for cluster size 7"),
+        (["5", "7"], "no upload/download range given for cluster size 7"),
+        (["0"], "cluster sizes must be >= 1, got 0"),
+    ],
+    ids=["no-ranges", "one-without-ranges", "zero"],
+)
+@pytest.mark.parametrize("source", ["defaults", "scenario-file"])
+def test_sweep_size_without_ranges_is_validation_error(tmp_path, capsys, sizes, message, source):
+    argv = ["sweep", "--sizes", *sizes]
+    if source == "scenario-file":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"cluster_sizes": [5, 10]}), encoding="utf-8")
+        argv += ["--input", str(scenario)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error[validation]: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0])
+def test_admit_refuses_a_bandwidth_that_is_not_positive_and_finite(monkeypatch, capsys, bad):
+    # The file loaders refuse such values, so hand admit the peers directly.
+    peers = [PeerProfile("a", bad, 20000.0), PeerProfile("b", 15000.0, 30000.0)]
+    monkeypatch.setattr(cli, "_load_peer_input", lambda path: (peers, {}))
+    code = main(["admit", "--input", "peers.csv", "--budget-bps", "15000", "--livestream-bps", "10000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error[validation:bandwidth-not-positive-finite]: ")
+    assert captured.err.endswith("peer(s): a\n")
+    assert captured.out == ""

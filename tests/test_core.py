@@ -6,6 +6,7 @@ import random
 import pytest
 
 from acide.core import (
+    BANDWIDTH_NOT_POSITIVE_FINITE,
     DUPLICATE_ID,
     STREAM_OVER_CLUSTER_DOWNLOAD,
     STREAM_OVER_MEAN_UPLOAD,
@@ -370,3 +371,38 @@ class TestPlanIdentities:
             expected = proportional_sizes([p.upload for p in peers], STREAM.package_size)
             for got, want in zip(plan.block_sizes, expected):
                 assert close(got, want)
+
+
+class TestStreamParamsNamesTheDelayFirst:
+    @pytest.mark.parametrize("delay", [0.0, -0.005, math.nan])
+    def test_bad_delay_is_named_even_when_the_package_follows_from_it(self, delay):
+        # A package size derived as rate * delay is bad exactly when the delay is.
+        with pytest.raises(ValueError, match="^delay_bound must be positive and finite"):
+            StreamParams(package_size=10000.0 * delay, delay_bound=delay)
+
+    def test_bad_package_with_good_delay_is_named(self):
+        with pytest.raises(ValueError, match="^package_size must be positive and finite"):
+            StreamParams(package_size=0.0, delay_bound=0.2)
+
+
+class TestValidateClusterBandwidths:
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("side", ["upload", "download"])
+    def test_bad_bandwidth_reported_first_with_the_peer(self, bad, side):
+        good = peer("b", 50000.0, 100000.0)
+        odd = peer("a", bad, 100000.0) if side == "upload" else peer("a", 50000.0, bad)
+        report = validate_cluster([odd, good, odd._replace(id="c")], StreamParams(2000.0, 0.2))
+        assert not report.ok
+        first = report.violations[0]
+        assert first.code == BANDWIDTH_NOT_POSITIVE_FINITE
+        assert first.message.endswith("peer(s): a, c")
+        assert report.codes().count(BANDWIDTH_NOT_POSITIVE_FINITE) == 1
+
+    def test_good_cluster_has_no_bandwidth_violation(self):
+        assert BANDWIDTH_NOT_POSITIVE_FINITE not in validate_cluster(TRIO, STREAM).codes()
+
+    def test_overflowing_sum_of_finite_bandwidths_is_not_reported(self):
+        huge = [peer(f"p{i}", 1e308, 1.5e308) for i in range(3)]
+        assert BANDWIDTH_NOT_POSITIVE_FINITE not in validate_cluster(huge, STREAM).codes()

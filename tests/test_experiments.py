@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 
@@ -28,7 +29,6 @@ from acide.output import (
     PROFILE_COLUMNS,
     RECORD_COLUMNS,
     profile_rows,
-    record_rows,
     write_table,
 )
 
@@ -236,7 +236,7 @@ class TestCsvWriters:
             ExperimentRecord(5, 12000.0, 10000.0, 0, 0.0, 0.0),
         ]
         buf = io.StringIO()
-        write_table(buf, "csv", RECORD_COLUMNS, record_rows(records))
+        write_table(buf, "csv", RECORD_COLUMNS, records)
         assert buf.getvalue() == (
             "N,livestream_bps,BW_bps,n_admitted,bw_bps,efficiency_pct\n"
             "5,10000.00,12000.00,1,10000.00,83.33\n"
@@ -263,7 +263,7 @@ class TestCsvWriters:
         outputs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_table(buf, "csv", RECORD_COLUMNS, record_rows(run_admission_sweep(spec)))
+            write_table(buf, "csv", RECORD_COLUMNS, run_admission_sweep(spec))
             outputs.append(buf.getvalue().encode())
         assert outputs[0] == outputs[1]
 
@@ -310,3 +310,42 @@ class TestTrends:
 def test_pool_seed_distinct_per_size():
     seeds = {pool_seed(42, size) for size in DEFAULT_UPLOAD_RANGES}
     assert len(seeds) == len(DEFAULT_UPLOAD_RANGES)
+
+
+class TestNonFiniteRangeBounds:
+    @pytest.mark.parametrize(
+        "upload_range,download_range,label",
+        [
+            ((10000.0, math.inf), (20000.0, math.inf), "upload"),
+            ((10000.0, 20000.0), (20000.0, math.inf), "download"),
+            ((10000.0, math.nan), (20000.0, 30000.0), "upload"),
+        ],
+        ids=["infinite-upload", "infinite-download", "nan-upload"],
+    )
+    def test_refused_before_drawing(self, upload_range, download_range, label):
+        with pytest.raises(ValueError, match=rf"^bad {label} range \["):
+            generate_peers(3, upload_range, download_range, seed=1)
+        with pytest.raises(ValueError, match=rf"^bad {label} range \["):
+            admitted_vs_budget_curve(
+                3, 10000.0, 1, upload_range=upload_range, download_range=download_range
+            )
+
+
+class TestDefaultScenarioSizes:
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            ((7,), "no upload/download range given for cluster size 7"),
+            ((5, 7), "no upload/download range given for cluster size 7"),
+            ((0,), "cluster sizes must be >= 1, got 0"),
+            ((-3,), "cluster sizes must be >= 1, got -3"),
+        ],
+    )
+    def test_size_without_default_ranges_is_a_value_error(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_scenario(cluster_sizes=sizes)
+
+    def test_sizes_with_ranges_keep_only_their_ranges(self):
+        spec = default_scenario(cluster_sizes=(10, 5))
+        assert spec.cluster_sizes == (10, 5)
+        assert set(spec.upload_ranges) == set(spec.download_ranges) == {5, 10}

@@ -133,3 +133,37 @@ def test_every_name_the_traced_benchmark_calls_exists():
         if not hasattr(importlib.import_module(f"acide.{module}"), name)
     ]
     assert missing == []
+
+
+# Runs one command in a fresh interpreter and prints the modules, of those
+# named, that it loaded from before `import acide.cli` on.
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+before = set(sys.modules)
+from acide import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps([code, sorted({names!r} & (set(sys.modules) - before))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--sizes", "5"],
+        ["sweep", "--input", "{scenario}", "--sizes", "5", "--seed", "3", "--format", "json"],
+        ["curve", "--sizes", "5", "--livestream-bps", "10000", "--output", "{out}"],
+        ["profile", "--sizes", "5", "--livestream-bps", "10000", "--output", "{out}"],
+    ],
+    ids=["sweep", "sweep-input", "curve", "profile"],
+)
+def test_experiment_commands_load_neither_dataclasses_nor_inspect(tmp_path, command):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"cluster_sizes": [5, 10]}), encoding="utf-8")
+    argv = [a.format(scenario=scenario, out=tmp_path / "out.csv") for a in command]
+    script = LOADED_SCRIPT.format(src=str(SRC), argv=argv, names={"dataclasses", "inspect"})
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    code, loaded = json.loads(result.stdout)
+    assert code == 0, result.stderr
+    assert loaded == []

@@ -16,6 +16,8 @@ from acide.core import (
     min_bandwidth,
     validate_cluster,
 )
+from acide.experiments import ExperimentRecord, ScenarioSpec, default_scenario, run_admission_sweep
+from acide.output import RECORD_COLUMNS, TRACE_COLUMNS, table_dicts
 from acide.sim import PlaybackReport, SimulationTrace, TransferEvent, playback_check, simulate
 
 STREAM = StreamParams(2000.0, 0.2)
@@ -111,3 +113,115 @@ def test_admission_budget_replace_and_make_check_the_new_values():
             BUDGET._replace(**changes)
     with pytest.raises(ValueError):
         AdmissionBudget._make([math.nan, PEERS, STREAM])
+
+
+SPEC = default_scenario(cluster_sizes=(5,), seed=3)
+SCENARIO_FIELDS = (
+    "cluster_sizes", "upload_ranges", "download_ranges", "delay_bound",
+    "livestream_bandwidths", "budgets", "seed",
+)
+RECORD_FIELDS = (
+    "pool_size", "livestream_bandwidth", "budget", "n_admitted", "allocated_bandwidth", "efficiency_pct",
+)
+SWEEP_RECORD = run_admission_sweep(SPEC)[0]
+# (type, its field names in order, field values of one instance), for the sweep's records
+SWEEP_RECORDS = [(ScenarioSpec, SCENARIO_FIELDS, tuple(SPEC)), (ExperimentRecord, RECORD_FIELDS, tuple(SWEEP_RECORD))]
+parametrize_sweep_records = pytest.mark.parametrize(
+    "cls,fields,values", SWEEP_RECORDS, ids=[cls.__name__ for cls, _, _ in SWEEP_RECORDS]
+)
+
+
+@parametrize_sweep_records
+def test_sweep_record_fields_and_order(cls, fields, values):
+    assert cls._fields == fields
+    record = cls(*values)
+    assert tuple(record) == values
+    assert record == cls(**dict(zip(fields, values)))
+    assert isinstance(record, tuple)
+
+
+@parametrize_sweep_records
+def test_sweep_record_attributes_cannot_be_assigned(cls, fields, values):
+    record = cls(*values)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+    assert tuple(record) == values
+
+
+def test_scenario_spec_equal_but_unhashable():
+    assert default_scenario(cluster_sizes=(5,), seed=3) == SPEC
+    assert default_scenario(cluster_sizes=(5,), seed=4) != SPEC
+    with pytest.raises(TypeError):
+        hash(SPEC)  # its ranges are dicts
+
+
+def test_experiment_record_equal_and_hashable():
+    copy = ExperimentRecord(*SWEEP_RECORD)
+    assert copy == SWEEP_RECORD
+    assert hash(copy) == hash(SWEEP_RECORD)
+    assert copy.feasible is (copy.n_admitted > 0)
+    assert not copy._replace(n_admitted=0).feasible
+
+
+def test_scenario_spec_converts_its_values():
+    spec = ScenarioSpec(
+        cluster_sizes=[5.0],
+        upload_ranges={"5": [10000, 20000]},
+        download_ranges={5.0: (20000, 30000)},
+        delay_bound=1,
+        livestream_bandwidths=[10000],
+        budgets=(20000,),
+        seed=7.0,
+    )
+    assert tuple(spec) == ((5,), {5: (10000.0, 20000.0)}, {5: (20000.0, 30000.0)}, 1.0, (10000.0,), (20000.0,), 7)
+    assert [type(v) for v in (spec.cluster_sizes[0], *spec.upload_ranges, spec.seed)] == [int, int, int]
+    assert [type(v) for v in (*spec.upload_ranges[5], spec.delay_bound, *spec.budgets)] == [float] * 4
+
+
+def test_scenario_spec_replace_and_make_check_the_new_values():
+    spec = default_scenario()
+    assert spec._replace(cluster_sizes=(5.0,)).cluster_sizes == (5,)
+    assert type(spec._replace(seed=9)) is ScenarioSpec
+    with pytest.raises(ValueError, match="whole number, got 5.7"):
+        spec._replace(cluster_sizes=(5.7,))
+    with pytest.raises(ValueError, match="whole number, got 1.5"):
+        spec._replace(seed=1.5)
+    with pytest.raises(TypeError):
+        spec._replace(cluster_sizes=(True,))
+    with pytest.raises(ValueError, match="^no upload/download range given for cluster size 7$"):
+        spec._replace(cluster_sizes=(7,))
+    with pytest.raises(ValueError, match="^cluster sizes must be >= 1, got 0$"):
+        spec._replace(cluster_sizes=(0,))
+    with pytest.raises(ValueError, match="^delay_bound must be positive and finite, got 0.0$"):
+        spec._replace(delay_bound=0)
+    with pytest.raises(ValueError, match="^budgets must be positive and finite"):
+        spec._replace(budgets=(20000.0, math.nan))
+    with pytest.raises(ValueError, match="^scenario needs at least one cluster size$"):
+        ScenarioSpec._make([(), *tuple(spec)[1:]])
+
+
+# Each table column and the record field that fills it.
+TRACE_COLUMN_FIELDS = [
+    ("phase", "phase"), ("step", "step"), ("sender", "sender"), ("receiver", "receiver"),
+    ("block", "block_index"), ("start_s", "start_time"), ("end_s", "end_time"), ("rate_bps", "rate"),
+]
+RECORD_COLUMN_FIELDS = [
+    ("N", "pool_size"), ("livestream_bps", "livestream_bandwidth"), ("BW_bps", "budget"),
+    ("n_admitted", "n_admitted"), ("bw_bps", "allocated_bandwidth"), ("efficiency_pct", "efficiency_pct"),
+]
+
+
+@pytest.mark.parametrize(
+    "columns,cls,pairs,record",
+    [
+        (TRACE_COLUMNS, TransferEvent, TRACE_COLUMN_FIELDS, TRACE.events[-1]),
+        (RECORD_COLUMNS, ExperimentRecord, RECORD_COLUMN_FIELDS, SWEEP_RECORD),
+    ],
+    ids=["trace", "record"],
+)
+def test_table_columns_line_up_with_record_fields(columns, cls, pairs, record):
+    # The tables are written straight from the records, so column i is field i.
+    assert [(name, field) for (name, _), field in zip(columns, cls._fields)] == pairs
+    assert len(columns) == len(cls._fields)
+    assert table_dicts(columns, [record]) == [{name: getattr(record, field) for name, field in pairs}]

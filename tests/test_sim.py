@@ -8,7 +8,7 @@ import random
 import pytest
 
 from acide.core import PeerProfile, StreamParams, close, min_bandwidth, sort_peers
-from acide.output import TRACE_COLUMNS, trace_document, trace_rows, write_table
+from acide.output import TRACE_COLUMNS, trace_document, write_table
 from acide import sim
 from acide.sim import (
     BASE_STATION,
@@ -194,7 +194,7 @@ class TestTraceExport:
     def test_csv_columns_and_rows(self):
         trace = simulate(min_bandwidth(TRIO, STREAM))
         buf = io.StringIO()
-        write_table(buf, "csv", TRACE_COLUMNS, trace_rows(trace))
+        write_table(buf, "csv", TRACE_COLUMNS, trace.events)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert tuple(rows[0]) == tuple(name for name, _ in TRACE_COLUMNS)
         assert len(rows) == 1 + len(trace.events)
@@ -206,7 +206,7 @@ class TestTraceExport:
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_table(buf, "csv", TRACE_COLUMNS, trace_rows(simulate(plan)))
+            write_table(buf, "csv", TRACE_COLUMNS, simulate(plan).events)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
