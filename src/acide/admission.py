@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from acide.core import (
     AllocationPlan,
@@ -73,19 +73,18 @@ class AdmissionOutcome(NamedTuple):
     rejected: tuple[PeerProfile, ...]
 
 
-def _first_kept(uploads: Sequence[float], stream: StreamParams, fits: Callable[[float], bool]) -> int:
-    """Index of the first peer kept: the smallest r whose suffix uploads[r:] fits.
+def _first_kept(uploads: Sequence[float], stream: StreamParams, budget: float) -> int:
+    """Index of the first peer kept: the smallest r whose suffix uploads[r:] fits `budget`.
 
-    `uploads` are the positive, finite uploads of an upload-sorted pool, and
-    `fits` is a predicate on a suffix's requirement (its allocated_bandwidth,
-    priced from the same canonical upload sum) that holds for every cost at
-    or below some threshold. Suffix costs fall as r grows, so the predicate
-    is monotone in r and a bisection over O(log N) suffixes finds the same r
-    as a scan. Returns len(uploads) when no suffix fits.
+    `uploads` are the positive, finite uploads of an upload-sorted pool. A
+    suffix fits when its requirement (its allocated_bandwidth, priced from the
+    same canonical upload sum) is at most `budget`. Suffix costs fall as r
+    grows, so a bisection over O(log N) suffixes finds the same r as a scan.
+    Returns len(uploads) when no suffix fits.
     """
     n = len(uploads)
     return bisect.bisect_left(
-        range(n), True, key=lambda r: fits(requirement(n - r, upload_total(uploads[r:]), stream))
+        range(n), True, key=lambda r: requirement(n - r, upload_total(uploads[r:]), stream) <= budget
     )
 
 
@@ -104,7 +103,7 @@ def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
     # Checked once here, so the bisection's suffix sums need no check.
     checked_upload_total(ordered, uploads)
     cap = budget.given_allocated_bandwidth
-    removed = _first_kept(uploads, budget.stream, lambda required: required <= cap)
+    removed = _first_kept(uploads, budget.stream, cap)
     if removed == len(ordered):
         raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
     plan = plan_sorted(ordered[removed:], budget.stream)
@@ -130,6 +129,6 @@ def admitted_upper_bound(
             f"bound is only defined for bw >= livestream bandwidth "
             f"({bw:.2f} < {rate:.2f})"
         )
-    sum_upload = sum(p.upload for p in candidates)
+    sum_upload = upload_total(p.upload for p in candidates)
     return 1.0 + sum_upload / rate - sum_upload / bw
 

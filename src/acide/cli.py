@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 parse/validation failure, 3 insufficient budget.
 Every failure prints one line to stderr of the form `error[<code>]: <detail>`
 so scripts can branch on the reason. The default seed is 42 and may be
 overridden by the ACIDE_SEED environment variable or the --seed flag
-(flag wins).
+(flag wins); for sweep, a scenario file's seed ranks between the two.
 """
 
 from __future__ import annotations
@@ -142,6 +142,19 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
     return peers
 
 
+def _read_json(path: str):
+    """The parsed content of a JSON file; an unreadable file or bad JSON is a ParseInputError."""
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return json.load(fp)
+    except OSError as exc:
+        raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseInputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+
 def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
     """Read peers (and optional stream section) from a JSON input file.
 
@@ -149,15 +162,7 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
     "stream": {"package_bits": ..., "delay_ms": ...}}. Peer objects carry
     id, u_bps, d_bps.
     """
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
-    except OSError as exc:
-        raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseInputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    data = _read_json(path)
     stream_info: dict = {}
     if isinstance(data, dict):
         raw_peers = data.get("peers")
@@ -334,24 +339,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
     from acide import output
-    from acide.experiments import default_scenario, load_scenario, run_admission_sweep
+    from acide.experiments import run_admission_sweep, scenario_from_dict
 
-    if args.input:
-        try:
-            spec = load_scenario(args.input)
-        except json.JSONDecodeError as exc:
-            raise ParseInputError(f"{args.input}:{exc.lineno}: {exc.msg}") from exc
-        except OSError as exc:
-            raise ParseInputError(f"{args.input}: {exc.strerror or exc}") from exc
-        if args.seed is not None:
-            spec = spec._replace(seed=args.seed)
-        if args.sizes:
-            spec = spec._replace(cluster_sizes=args.sizes)
-    else:
-        spec = default_scenario(cluster_sizes=args.sizes or None, seed=_seed(args))
+    data = _read_json(args.input) if args.input else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.input}: malformed scenario: expected a JSON object")
+    if args.sizes:
+        data["cluster_sizes"] = args.sizes
+    # --seed, else the file's seed, else ACIDE_SEED, else the default seed.
+    if args.seed is not None or "seed" not in data:
+        data["seed"] = _seed(args)
+    spec = scenario_from_dict(data, source=args.input or "<scenario>")
     records = run_admission_sweep(spec)
     _write_output(args, args.output, output.RECORD_COLUMNS, records)
     if args.output:
@@ -371,10 +370,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     from acide.experiments import admitted_vs_budget_curve
 
     seed, delay_s = _seed(args), _delay_s(args)
-    for size in args.sizes:
-        curve = admitted_vs_budget_curve(
-            size, float(args.livestream_bps), seed, delay_bound=delay_s
-        )
+    # Every curve is computed before any is written, so a failing size leaves no files.
+    curves = [
+        (size, admitted_vs_budget_curve(size, float(args.livestream_bps), seed, delay_bound=delay_s))
+        for size in args.sizes
+    ]
+    for size, curve in curves:
         out = _suffixed(args.output, size)
         _write_output(args, out, output.CURVE_COLUMNS, curve)
         print(f"wrote {out}")
@@ -386,9 +387,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, block_size_profile
 
     seed, delay_s = _seed(args), _delay_s(args)
-    missing = [s for s in args.sizes if s not in DEFAULT_UPLOAD_RANGES]
-    if missing:
-        raise ValueError(f"no default ranges for sizes {missing}")
     stream = StreamParams(package_size=float(args.livestream_bps) * delay_s, delay_bound=delay_s)
     profiles = block_size_profile(
         args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, seed
@@ -495,8 +493,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console entry point."""
-    sys.exit(main())
+    """Console entry point; a reader that closes the pipe early ends it with exit 1 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull, so that the
+        # flush at interpreter exit does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -198,8 +198,8 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     downloads = [p.download for p in peer_list]
     violations: list[AssumptionViolation] = []
 
-    total_upload = sum(uploads)
-    total_download = sum(downloads)
+    total_upload = upload_total(uploads)
+    total_download = upload_total(downloads)
     min_download = min(downloads)
     # A NaN hides from min, but it makes its sum NaN, which fails < inf.
     if not (
@@ -267,7 +267,7 @@ def upload_total(uploads: Iterable[float]) -> float:
     Every requirement and plan is priced with this one expression, so a set
     of peers costs the same float wherever it is priced. Not sum(), which
     from Python 3.12 compensates its rounding and would give other floats
-    than earlier interpreters.
+    than earlier interpreters. validate_cluster sums downloads with it too.
     """
     return reduce(add, uploads, 0.0)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from acide.admission import _first_kept
@@ -87,6 +88,15 @@ def _ranges(ranges: Mapping) -> dict[int, tuple[float, float]]:
     return {number(k, int): (number(v[0]), number(v[1])) for k, v in ranges.items()}
 
 
+def pool_ranges(
+    size: int, upload_ranges: Mapping, download_ranges: Mapping
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The (upload, download) draw ranges for a pool of `size`; ValueError when either is missing."""
+    if size not in upload_ranges or size not in download_ranges:
+        raise ValueError(f"no upload/download range given for cluster size {size}")
+    return upload_ranges[size], download_ranges[size]
+
+
 class ScenarioSpec(_ScenarioFields):
     """A reproducible sweep: sizes, draw ranges per size, stream values, budgets, seed.
 
@@ -127,8 +137,7 @@ class ScenarioSpec(_ScenarioFields):
         for size in self.cluster_sizes:
             if size < 1:
                 raise ValueError(f"cluster sizes must be >= 1, got {size}")
-            if size not in self.upload_ranges or size not in self.download_ranges:
-                raise ValueError(f"no upload/download range given for cluster size {size}")
+            pool_ranges(size, self.upload_ranges, self.download_ranges)
         for field in ("upload_ranges", "download_ranges"):
             for size, (low, high) in getattr(self, field).items():
                 if not (0 < low <= high and math.isfinite(high)):
@@ -224,10 +233,7 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
     """
     pools = {
         size: generate_peers(
-            size,
-            spec.upload_ranges[size],
-            spec.download_ranges[size],
-            pool_seed(spec.seed, size),
+            size, *pool_ranges(size, spec.upload_ranges, spec.download_ranges), pool_seed(spec.seed, size)
         )
         for size in spec.cluster_sizes
     }
@@ -237,7 +243,7 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
         for rate in sorted(set(spec.livestream_bandwidths)):
             stream = StreamParams(package_size=rate * spec.delay_bound, delay_bound=spec.delay_bound)
             for budget in sorted(set(spec.budgets), reverse=True):
-                removed = _first_kept(uploads, stream, lambda required: required <= budget)
+                removed = _first_kept(uploads, stream, budget)
                 bw = allocated_bandwidth(pools[size][removed:], stream) if removed < size else 0.0
                 records.append(
                     ExperimentRecord(
@@ -271,27 +277,23 @@ def admitted_vs_budget_curve(
     ranges.
     """
     if upload_range is None or download_range is None:
-        if size not in DEFAULT_UPLOAD_RANGES:
-            raise ValueError(
-                f"no default ranges for cluster size {size}; pass upload_range/download_range"
-            )
-        upload_range = upload_range or DEFAULT_UPLOAD_RANGES[size]
-        download_range = download_range or DEFAULT_DOWNLOAD_RANGES[size]
+        default_upload, default_download = pool_ranges(size, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES)
+        upload_range = upload_range or default_upload
+        download_range = download_range or default_download
     pool = generate_peers(size, upload_range, download_range, seed)
     stream = StreamParams(package_size=livestream_bandwidth * delay_bound, delay_bound=delay_bound)
     low = stream.livestream_bandwidth
     uploads = [p.upload for p in pool]
-    first_feasible = _first_kept(uploads, stream, math.isfinite)
+    # Every finite requirement is at most the largest float, and an
+    # infeasible one is inf, so this budget admits the largest feasible group.
+    first_feasible = _first_kept(uploads, stream, sys.float_info.max)
     high = allocated_bandwidth(pool[first_feasible:], stream)
     if size == 1:
         grid = [high]
     else:
         grid = [low + (high - low) * i / (size - 1) for i in range(size)]
         grid[0], grid[-1] = low, high
-    return [
-        (budget, size - _first_kept(uploads, stream, lambda required: required <= budget))
-        for budget in grid
-    ]
+    return [(budget, size - _first_kept(uploads, stream, budget)) for budget in grid]
 
 
 def baseline_bandwidths(n: int, stream: StreamParams) -> tuple[float, float]:
@@ -318,18 +320,14 @@ def block_size_profile(
 
     Each cluster is drawn with its size's pool_seed and solved; rows are in
     upload order, ready for plotting block size against upload capacity.
-    The equal transfer-time property (block size over bandwidth identical
-    for all peers) is asserted on every cluster as a self-check.
+    Sizes must be whole numbers.
     """
     profiles: dict[int, list[tuple[float, float, float]]] = {}
-    for size in sorted(set(int(s) for s in sizes)):
+    for size in sorted(set(number(s, int) for s in sizes)):
         pool = generate_peers(
-            size, upload_ranges[size], download_ranges[size], pool_seed(seed, size)
+            size, *pool_ranges(size, upload_ranges, download_ranges), pool_seed(seed, size)
         )
         plan = min_bandwidth(pool, stream)
-        for s, bw in zip(plan.block_sizes, plan.peer_bandwidths):
-            if abs(s / bw - plan.phase1_time) > 1e-9 * plan.phase1_time:
-                raise AssertionError(f"unequal phase-1 transfer times in cluster of {size}")
         profiles[size] = [
             (p.upload, s, bw)
             for p, s, bw in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths)
@@ -339,16 +337,8 @@ def block_size_profile(
 
 def default_scenario(cluster_sizes: Sequence[int] | None = None, seed: int = DEFAULT_SEED) -> ScenarioSpec:
     """The bundled scenario, optionally restricted or reseeded."""
-    sizes = tuple(cluster_sizes) if cluster_sizes is not None else DEFAULT_CLUSTER_SIZES
-    return ScenarioSpec(
-        cluster_sizes=sizes,
-        upload_ranges={s: DEFAULT_UPLOAD_RANGES[s] for s in sizes if s in DEFAULT_UPLOAD_RANGES},
-        download_ranges={s: DEFAULT_DOWNLOAD_RANGES[s] for s in sizes if s in DEFAULT_DOWNLOAD_RANGES},
-        delay_bound=DEFAULT_DELAY_BOUND,
-        livestream_bandwidths=DEFAULT_LIVESTREAM_BANDWIDTHS,
-        budgets=DEFAULT_BUDGETS,
-        seed=seed,
-    )
+    data = {"seed": seed} if cluster_sizes is None else {"cluster_sizes": cluster_sizes, "seed": seed}
+    return scenario_from_dict(data)
 
 
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpec:
@@ -366,8 +356,8 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpe
         download_ranges = _ranges(data.get("download_ranges", DEFAULT_DOWNLOAD_RANGES))
         fields = dict(
             cluster_sizes=sizes,
-            upload_ranges={s: upload_ranges[s] for s in sizes},
-            download_ranges={s: download_ranges[s] for s in sizes},
+            upload_ranges={s: upload_ranges[s] for s in sizes if s in upload_ranges},
+            download_ranges={s: download_ranges[s] for s in sizes if s in download_ranges},
             delay_bound=number(data.get("delay_bound_s", DEFAULT_DELAY_BOUND)),
             livestream_bandwidths=tuple(
                 number(v) for v in data.get("livestream_bandwidths_bps", DEFAULT_LIVESTREAM_BANDWIDTHS)

@@ -12,6 +12,7 @@ delay bound.
 
 from __future__ import annotations
 
+import math
 from typing import IO, NamedTuple
 
 from acide.core import AllocationPlan, StreamParams
@@ -122,9 +123,11 @@ def simulate(plan: AllocationPlan) -> SimulationTrace:
             f"plan is inconsistent: {n} peers, {len(plan.block_sizes)} block sizes, "
             f"{len(plan.peer_bandwidths)} bandwidths"
         )
+    inf = math.inf
     for peer, size, rate in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths):
-        if size <= 0 or rate <= 0 or peer.upload <= 0:
-            raise ValueError(f"non-positive size or rate for peer {peer.id}")
+        # Written as ranges so that NaN fails too: max() would skip it later.
+        if not (0 < size < inf and 0 < rate < inf and 0 < peer.upload < inf):
+            raise ValueError(f"block size, rate or upload is not positive and finite for peer {peer.id}")
 
     phase1_ends, phase2_start, durations, step_length = _timing(plan)
     if n == 1:

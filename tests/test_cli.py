@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -634,3 +638,82 @@ def test_admit_refuses_a_bandwidth_that_is_not_positive_and_finite(monkeypatch, 
     assert captured.err.startswith("error[validation:bandwidth-not-positive-finite]: ")
     assert captured.err.endswith("peer(s): a\n")
     assert captured.out == ""
+
+
+def _scenario(tmp_path, data, name="scenario.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _sweep_stdout(capsys, argv):
+    assert main(["sweep", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_sweep_seed_order_with_a_scenario_file(tmp_path, monkeypatch, capsys):
+    # --seed, else the file's seed, else ACIDE_SEED, else 42.
+    unseeded = _scenario(tmp_path, {"cluster_sizes": [5]}, "unseeded.json")
+    seeded = _scenario(tmp_path, {"cluster_sizes": [5], "seed": 4}, "seeded.json")
+    seed_4, seed_99 = (_sweep_stdout(capsys, ["--sizes", "5", "--seed", s]) for s in ("4", "99"))
+    assert seed_4 != seed_99
+    monkeypatch.setenv("ACIDE_SEED", "99")
+    assert _sweep_stdout(capsys, ["--input", unseeded]) == seed_99
+    assert _sweep_stdout(capsys, ["--input", seeded]) == seed_4
+    assert _sweep_stdout(capsys, ["--input", seeded, "--seed", "99"]) == seed_99
+    monkeypatch.setenv("ACIDE_SEED", "x")
+    assert _sweep_stdout(capsys, ["--input", seeded]) == seed_4
+    assert main(["sweep", "--input", unseeded]) == 2
+    assert capsys.readouterr().err == "error[parse]: ACIDE_SEED='x' is not an integer seed\n"
+
+
+def test_sweep_sizes_use_the_scenario_files_ranges(tmp_path, capsys):
+    ranges = {"upload_ranges": {"7": [10000, 20000]}, "download_ranges": {"7": [20000, 30000]}}
+    listed_as_5 = _scenario(tmp_path, {"cluster_sizes": [5], **ranges}, "five.json")
+    listed_as_7 = _scenario(tmp_path, {"cluster_sizes": [7], **ranges}, "seven.json")
+    out = _sweep_stdout(capsys, ["--input", listed_as_5, "--sizes", "7", "--seed", "1"])
+    assert out == _sweep_stdout(capsys, ["--input", listed_as_7, "--seed", "1"])
+    assert {row.split(",")[0] for row in out.splitlines()[1:]} == {"7"}
+
+
+def test_scenario_size_without_ranges_is_named(tmp_path, capsys):
+    assert main(["sweep", "--input", _scenario(tmp_path, {"cluster_sizes": [7]})]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error[validation]: no upload/download range given for cluster size 7\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("data", [[5, 10], "5", 5, None], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("extra", [[], ["--sizes", "5", "--seed", "1"]], ids=["plain", "with-flags"])
+def test_scenario_file_that_is_not_an_object_is_malformed(tmp_path, capsys, data, extra):
+    path = _scenario(tmp_path, data)
+    assert main(["sweep", "--input", path, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[validation]: {path}: malformed scenario: expected a JSON object\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["curve", "profile"])
+@pytest.mark.parametrize("sizes", [["7"], ["5", "7"]], ids=["no-ranges", "one-without-ranges"])
+def test_size_without_ranges_writes_no_file(tmp_path, capsys, command, sizes):
+    out = tmp_path / "out" / "table.csv"
+    out.parent.mkdir()
+    code = main([command, "--sizes", *sizes, "--livestream-bps", "10000", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error[validation]: no upload/download range given for cluster size 7\n"
+    assert captured.out == ""
+    assert list(out.parent.iterdir()) == []
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "acide.cli", "sweep"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()  # at once, long before the command writes, so every write meets a closed pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -190,6 +190,10 @@ class TestBlockSizeProfile:
         sizes = [s for _, s, _ in profiles[120]]
         assert sizes == sorted(sizes)
 
+    def test_fractional_size_refused(self):
+        with pytest.raises(ValueError, match="whole number, got 5.7"):
+            block_size_profile((5.7,), DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, STREAM, seed=11)
+
     def test_equal_uploads_split_evenly(self):
         profiles = block_size_profile(
             (4,), {4: (15000.0, 15000.0)}, {4: (20000.0, 20000.0)}, STREAM, seed=13
@@ -349,3 +353,19 @@ class TestDefaultScenarioSizes:
         spec = default_scenario(cluster_sizes=(10, 5))
         assert spec.cluster_sizes == (10, 5)
         assert set(spec.upload_ranges) == set(spec.download_ranges) == {5, 10}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: scenario_from_dict({"cluster_sizes": [7]}),
+        lambda: scenario_from_dict({"cluster_sizes": [7], "upload_ranges": {"7": [10000, 20000]}}),
+        lambda: admitted_vs_budget_curve(7, 10000.0, seed=1),
+        lambda: block_size_profile((5, 7), DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, STREAM, seed=1),
+    ],
+    ids=["scenario", "scenario-upload-only", "curve", "profile"],
+)
+def test_size_without_ranges_has_one_message(build):
+    with pytest.raises(ValueError, match="^no upload/download range given for cluster size 7$"):
+        build()
+
