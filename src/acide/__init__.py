@@ -34,7 +34,6 @@ _EXPORTS = {
     "default_scenario": "experiments",
     "generate_peers": "experiments",
     "join_cluster": "admission",
-    "load_scenario": "experiments",
     "min_bandwidth": "core",
     "playback_check": "sim",
     "run_admission_sweep": "experiments",

@@ -358,11 +358,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suffixed(path: str, size: int) -> str:
+def _write_per_size(args: argparse.Namespace, columns: output.Columns, tables: Iterable[tuple]) -> None:
+    """Write each (size, rows) table to --output suffixed _n<size>, printing `wrote <path>` after each."""
     from pathlib import Path
 
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}_n{size}{p.suffix or '.csv'}"))
+    p = Path(args.output)
+    for size, rows in tables:
+        out = str(p.with_name(f"{p.stem}_n{size}{p.suffix or '.csv'}"))
+        _write_output(args, out, columns, rows)
+        print(f"wrote {out}")
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -375,10 +379,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         (size, admitted_vs_budget_curve(size, float(args.livestream_bps), seed, delay_bound=delay_s))
         for size in args.sizes
     ]
-    for size, curve in curves:
-        out = _suffixed(args.output, size)
-        _write_output(args, out, output.CURVE_COLUMNS, curve)
-        print(f"wrote {out}")
+    _write_per_size(args, output.CURVE_COLUMNS, curves)
     return EXIT_OK
 
 
@@ -388,13 +389,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     seed, delay_s = _seed(args), _delay_s(args)
     stream = StreamParams(package_size=float(args.livestream_bps) * delay_s, delay_bound=delay_s)
-    profiles = block_size_profile(
-        args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, seed
-    )
-    for size in sorted(profiles):
-        out = _suffixed(args.output, size)
-        _write_output(args, out, output.PROFILE_COLUMNS, output.profile_rows(profiles[size]))
-        print(f"wrote {out}")
+    profiles = block_size_profile(args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, seed)
+    tables = ((size, output.profile_rows(rows)) for size, rows in sorted(profiles.items()))
+    _write_per_size(args, output.PROFILE_COLUMNS, tables)
     return EXIT_OK
 
 
@@ -442,13 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_p.set_defaults(handler=_cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="admission sweep over sizes, stream rates, and budgets")
-    source = sweep.add_mutually_exclusive_group()
-    source.add_argument("--input", help="scenario JSON (defaults used when omitted)")
-    source.add_argument(
-        "--table1-defaults",
-        action="store_true",
-        help="use the built-in default scenario (implied when --input is omitted)",
-    )
+    sweep.add_argument("--input", help="scenario JSON (defaults used when omitted)")
     sweep.add_argument("--sizes", type=int, nargs="+", help="restrict to these cluster sizes")
     sweep.add_argument("--seed", type=int, help="override the scenario seed")
     _add_io_flags(sweep)

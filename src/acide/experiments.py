@@ -11,11 +11,10 @@ how much of the budget the admitted cluster actually needs.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from acide.admission import _first_kept
 from acide.core import (
@@ -85,7 +84,9 @@ class _ScenarioFields(NamedTuple):
 
 
 def _ranges(ranges: Mapping) -> dict[int, tuple[float, float]]:
-    return {number(k, int): (number(v[0]), number(v[1])) for k, v in ranges.items()}
+    if not isinstance(ranges, Mapping) or not all(isinstance(v, (list, tuple)) for v in ranges.values()):
+        raise TypeError(f"expected a mapping of [low, high] pairs, got {ranges!r}")
+    return {number(k, int): (number(low), number(high)) for k, (low, high) in ranges.items()}
 
 
 def pool_ranges(
@@ -344,47 +345,31 @@ def default_scenario(cluster_sizes: Sequence[int] | None = None, seed: int = DEF
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpec:
     """Build a ScenarioSpec from parsed JSON, filling gaps from the defaults.
 
-    Recognised keys: cluster_sizes, upload_ranges, download_ranges,
-    delay_bound_s, livestream_bandwidths_bps, budgets_bps, seed. Range keys
-    arrive as JSON strings and are converted back to integer sizes. A value
-    of the wrong shape or type, or a size or seed that is not a whole
-    number, makes the scenario malformed; the spec then checks the ranges.
+    A key's value must be a list where its default is one, and otherwise a value
+    its conversion accepts: an object of [low, high] pairs, or a number. Any other
+    value makes the scenario malformed, and the message names the key and shape.
     """
-    try:
-        sizes = tuple(number(s, int) for s in data.get("cluster_sizes", DEFAULT_CLUSTER_SIZES))
-        upload_ranges = _ranges(data.get("upload_ranges", DEFAULT_UPLOAD_RANGES))
-        download_ranges = _ranges(data.get("download_ranges", DEFAULT_DOWNLOAD_RANGES))
-        fields = dict(
-            cluster_sizes=sizes,
-            upload_ranges={s: upload_ranges[s] for s in sizes if s in upload_ranges},
-            download_ranges={s: download_ranges[s] for s in sizes if s in download_ranges},
-            delay_bound=number(data.get("delay_bound_s", DEFAULT_DELAY_BOUND)),
-            livestream_bandwidths=tuple(
-                number(v) for v in data.get("livestream_bandwidths_bps", DEFAULT_LIVESTREAM_BANDWIDTHS)
-            ),
-            budgets=tuple(number(b) for b in data.get("budgets_bps", DEFAULT_BUDGETS)),
-            seed=number(data.get("seed", DEFAULT_SEED), int),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise ValueError(f"{source}: malformed scenario: {exc}") from exc
-    return ScenarioSpec(**fields)
 
+    def get(key: str, default, shape: str, convert: Callable = number):
+        value = data.get(key, default)
+        try:
+            if isinstance(value, (list, tuple)) == isinstance(default, tuple):
+                return tuple(map(convert, value)) if isinstance(default, tuple) else convert(value)
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{source}: malformed scenario: {key}: expected {shape}, got {value!r}")
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "cluster_sizes": list(spec.cluster_sizes),
-        "upload_ranges": {str(k): list(v) for k, v in spec.upload_ranges.items()},
-        "download_ranges": {str(k): list(v) for k, v in spec.download_ranges.items()},
-        "delay_bound_s": spec.delay_bound,
-        "livestream_bandwidths_bps": list(spec.livestream_bandwidths),
-        "budgets_bps": list(spec.budgets),
-        "seed": spec.seed,
-    }
-
-
-def load_scenario(path: str) -> ScenarioSpec:
-    """Read a scenario JSON file; missing keys fall back to the defaults."""
-    with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp)
-    return scenario_from_dict(data, source=path)
-
+    numbers = "a list of numbers"
+    pairs = "an object of [low, high] pairs"
+    sizes = get("cluster_sizes", DEFAULT_CLUSTER_SIZES, "a list of whole numbers", lambda s: number(s, int))
+    upload_ranges = get("upload_ranges", DEFAULT_UPLOAD_RANGES, pairs, _ranges)
+    download_ranges = get("download_ranges", DEFAULT_DOWNLOAD_RANGES, pairs, _ranges)
+    return ScenarioSpec(
+        cluster_sizes=sizes,
+        upload_ranges={s: upload_ranges[s] for s in sizes if s in upload_ranges},
+        download_ranges={s: download_ranges[s] for s in sizes if s in download_ranges},
+        delay_bound=get("delay_bound_s", DEFAULT_DELAY_BOUND, "a number"),
+        livestream_bandwidths=get("livestream_bandwidths_bps", DEFAULT_LIVESTREAM_BANDWIDTHS, numbers),
+        budgets=get("budgets_bps", DEFAULT_BUDGETS, numbers),
+        seed=get("seed", DEFAULT_SEED, "a whole number", lambda s: number(s, int)),
+    )

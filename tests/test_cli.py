@@ -490,9 +490,11 @@ class TestCurveAndProfile:
     def test_curve_files(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         code = main(
-            ["curve", "--sizes", "5", "10", "--livestream-bps", "10000", "--seed", "3", "--output", str(out)]
+            ["curve", "--sizes", "10", "5", "--livestream-bps", "10000", "--seed", "3", "--output", str(out)]
         )
         assert code == 0
+        # One file per size, written and reported in the order the sizes were given.
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'curve_n10.csv'}\nwrote {tmp_path / 'curve_n5.csv'}\n"
         for size in (5, 10):
             path = tmp_path / f"curve_n{size}.csv"
             rows = list(csv.reader(path.open()))
@@ -500,12 +502,16 @@ class TestCurveAndProfile:
             assert len(rows) == 1 + size
             assert rows[-1][1] == str(size)
 
-    def test_profile_files(self, tmp_path):
+    def test_profile_files(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
         code = main(
-            ["profile", "--sizes", "5", "--livestream-bps", "10000", "--seed", "3", "--output", str(out)]
+            ["profile", "--sizes", "120", "5", "--livestream-bps", "10000", "--seed", "3", "--output", str(out)]
         )
         assert code == 0
+        # Unlike curve, profile writes and reports its sizes in ascending order.
+        assert capsys.readouterr().out == (
+            f"wrote {tmp_path / 'profile_n5.csv'}\nwrote {tmp_path / 'profile_n120.csv'}\n"
+        )
         rows = list(csv.reader((tmp_path / "profile_n5.csv").open()))
         assert rows[0] == ["peer_index", "u_bps", "s_bits", "bw_bps"]
         assert len(rows) == 6
@@ -691,6 +697,40 @@ def test_scenario_file_that_is_not_an_object_is_malformed(tmp_path, capsys, data
     captured = capsys.readouterr()
     assert captured.err == f"error[validation]: {path}: malformed scenario: expected a JSON object\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "data,key",
+    [
+        ({"cluster_sizes": 5}, "cluster_sizes"),
+        ({"upload_ranges": [1, 2]}, "upload_ranges"),
+        ({"livestream_bandwidths_bps": "12"}, "livestream_bandwidths_bps"),
+        ({"budgets_bps": "99"}, "budgets_bps"),
+        ({"cluster_sizes": "5"}, "cluster_sizes"),
+        ({"upload_ranges": {"5": "12"}}, "upload_ranges"),
+        ({"upload_ranges": {"5": [1]}}, "upload_ranges"),
+        ({"seed": [1]}, "seed"),
+    ],
+    ids=["number-sizes", "list-ranges", "string-rates", "string-budgets", "string-sizes",
+         "string-pair", "short-pair", "list-seed"],
+)
+def test_wrongly_shaped_scenario_value_is_malformed(tmp_path, capsys, data, key):
+    # A string where a list belongs must not be read character by character.
+    path = _scenario(tmp_path, data)
+    assert main(["sweep", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[validation]: {path}: malformed scenario: {key}: expected ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_removed_table1_defaults_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--table1-defaults"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --table1-defaults" in captured.err
 
 
 @pytest.mark.parametrize("command", ["curve", "profile"])

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import io
-import json
 import math
 
 import pytest
@@ -18,11 +17,9 @@ from acide.experiments import (
     block_size_profile,
     default_scenario,
     generate_peers,
-    load_scenario,
     pool_seed,
     run_admission_sweep,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from acide.output import (
     CURVE_COLUMNS,
@@ -202,23 +199,12 @@ class TestBlockSizeProfile:
 
 
 class TestScenarioIO:
-    def test_round_trip(self):
-        spec = default_scenario(seed=5)
-        assert scenario_from_dict(scenario_to_dict(spec)) == spec
-
     def test_defaults_fill_missing_keys(self):
         spec = scenario_from_dict({"seed": 9, "cluster_sizes": [5, 10]})
         assert spec.seed == 9
         assert spec.cluster_sizes == (5, 10)
         assert spec.budgets == DEFAULT_BUDGETS
         assert spec.delay_bound == 0.2
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"cluster_sizes": [5], "seed": 3}), encoding="utf-8")
-        spec = load_scenario(str(path))
-        assert spec.cluster_sizes == (5,)
-        assert spec.seed == 3
 
     def test_size_without_ranges_rejected(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "PlaybackReport", "ScenarioSpec", "SimulationTrace", "StreamParams", "TransferEvent",
     "ValidationReport", "admitted_upper_bound", "admitted_vs_budget_curve",
     "allocated_bandwidth", "baseline_bandwidths", "block_size_profile", "build_schedule",
-    "default_scenario", "generate_peers", "join_cluster", "load_scenario", "min_bandwidth",
+    "default_scenario", "generate_peers", "join_cluster", "min_bandwidth",
     "playback_check", "run_admission_sweep", "simulate", "sort_peers", "validate_cluster",
 }
 
