@@ -103,8 +103,10 @@ class ScenarioSpec(_ScenarioFields):
 
     Sizes, range keys and the seed must be whole numbers and are stored as
     int; range ends, the delay bound, rates and budgets are stored as float.
-    Every size needs an upload and a download range; copies made with
-    _replace or _make are converted and checked like new values.
+    Every size needs an upload and a download range, and a string where a
+    sequence belongs is refused rather than read character by character;
+    copies made with _replace or _make are converted and checked like new
+    values.
     """
 
     __slots__ = ()
@@ -113,6 +115,13 @@ class ScenarioSpec(_ScenarioFields):
         cls, cluster_sizes: Iterable[int], upload_ranges: Mapping, download_ranges: Mapping,
         delay_bound: float, livestream_bandwidths: Iterable[float], budgets: Iterable[float], seed: int,
     ) -> ScenarioSpec:
+        for field, values in (
+            ("cluster_sizes", cluster_sizes),
+            ("livestream_bandwidths", livestream_bandwidths),
+            ("budgets", budgets),
+        ):
+            if isinstance(values, str):
+                raise ValueError(f"{field} must be a sequence of numbers, got {values!r}")
         self = super().__new__(
             cls,
             tuple(number(s, int) for s in cluster_sizes),

@@ -19,6 +19,12 @@ from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, ge
 PEERS_CSV = "id,u_bps,d_bps\na,10000,20000\nb,15000,30000\nc,20000,40000\n"
 
 
+def csv_rows(path: Path, newline: str | None = None) -> list[list[str]]:
+    """Every row of the CSV file at `path`, read through a handle that is closed again."""
+    with path.open(newline=newline) as fp:
+        return list(csv.reader(fp))
+
+
 @pytest.fixture
 def peers_csv(tmp_path):
     path = tmp_path / "peers.csv"
@@ -77,7 +83,7 @@ class TestSolve:
             ["solve", "--input", peers_csv, "--livestream-bps", "10000", "--output", str(out)]
         )
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = csv_rows(out)
         assert rows[0] == ["id", "u_bps", "d_bps", "s_bits", "bw_bps"]
         assert len(rows) == 4
 
@@ -130,7 +136,7 @@ class TestSolve:
         out = tmp_path / "plan.csv"
         code = main(["solve", "--input", str(path), "--livestream-bps", "10000", "--output", str(out)])
         assert code == 0
-        rows = list(csv.reader(out.open(newline="")))
+        rows = csv_rows(out, newline="")
         assert [len(r) for r in rows] == [5, 5, 5, 5]
         assert [r[0] for r in rows[1:]] == ["a,b", 'c"q', "d"]
         assert "a,b,10000.00," in capsys.readouterr().out
@@ -313,7 +319,7 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert code == 0
         assert "playback: continuous" in stdout
-        rows = list(csv.reader(out.open()))
+        rows = csv_rows(out)
         assert rows[0] == ["phase", "step", "sender", "receiver", "block", "start_s", "end_s", "rate_bps"]
         assert len(rows) == 1 + 3 + 6
 
@@ -357,7 +363,7 @@ class TestSweep:
         out = tmp_path / "records.csv"
         code = main(["sweep", "--sizes", "5", "10", "--seed", "7", "--output", str(out)])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = csv_rows(out)
         assert rows[0] == ["N", "livestream_bps", "BW_bps", "n_admitted", "bw_bps", "efficiency_pct"]
         assert len(rows) == 1 + 2 * 4 * 10
 
@@ -385,7 +391,7 @@ class TestSweep:
         )
         out = tmp_path / "records.csv"
         assert main(["sweep", "--input", str(scenario), "--output", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = csv_rows(out)
         assert len(rows) == 1 + 1 * 4 * 2
 
     def test_malformed_scenario_is_parse_error(self, tmp_path, capsys):
@@ -497,7 +503,7 @@ class TestCurveAndProfile:
         assert capsys.readouterr().out == f"wrote {tmp_path / 'curve_n10.csv'}\nwrote {tmp_path / 'curve_n5.csv'}\n"
         for size in (5, 10):
             path = tmp_path / f"curve_n{size}.csv"
-            rows = list(csv.reader(path.open()))
+            rows = csv_rows(path)
             assert rows[0] == ["BW_bps", "n"]
             assert len(rows) == 1 + size
             assert rows[-1][1] == str(size)
@@ -512,7 +518,7 @@ class TestCurveAndProfile:
         assert capsys.readouterr().out == (
             f"wrote {tmp_path / 'profile_n5.csv'}\nwrote {tmp_path / 'profile_n120.csv'}\n"
         )
-        rows = list(csv.reader((tmp_path / "profile_n5.csv").open()))
+        rows = csv_rows(tmp_path / "profile_n5.csv")
         assert rows[0] == ["peer_index", "u_bps", "s_bits", "bw_bps"]
         assert len(rows) == 6
         assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]

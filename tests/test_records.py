@@ -201,6 +201,15 @@ def test_scenario_spec_replace_and_make_check_the_new_values():
         ScenarioSpec._make([(), *tuple(spec)[1:]])
 
 
+@pytest.mark.parametrize(
+    "field,value", [("cluster_sizes", "5"), ("livestream_bandwidths", "12"), ("budgets", "99")]
+)
+def test_scenario_spec_refuses_a_string_where_a_sequence_belongs(field, value):
+    # Read character by character, "12" would be the rates (1.0, 2.0).
+    with pytest.raises(ValueError, match=f"^{field} must be a sequence of numbers, got '{value}'$"):
+        default_scenario()._replace(**{field: value})
+
+
 # Each table column and the record field that fills it.
 TRACE_COLUMN_FIELDS = [
     ("phase", "phase"), ("step", "step"), ("sender", "sender"), ("receiver", "receiver"),
