@@ -1,8 +1,9 @@
 """Command-line front end: solve, admit, simulate, sweep, curve, profile.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 insufficient budget.
+Exit codes: 0 success, 2 parse/validation/output failure, 3 insufficient budget.
 Every failure prints one line to stderr of the form `error[<code>]: <detail>`
-so scripts can branch on the reason. The default seed is 42 and may be
+so scripts can branch on the reason; `error[output]` names an --output file
+that cannot be opened for writing. The default seed is 42 and may be
 overridden by the ACIDE_SEED environment variable or the --seed flag
 (flag wins); for sweep, a scenario file's seed ranks between the two.
 """
@@ -50,6 +51,10 @@ EXIT_BUDGET = 3
 
 class ParseInputError(Exception):
     """Malformed input file; message names the file (and line where known)."""
+
+
+class OutputError(Exception):
+    """An --output file that cannot be opened for writing; message names the file."""
 
 
 def _fail(code: str, message: str) -> None:
@@ -121,7 +126,8 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
     peers = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
-            for lineno, row in enumerate(csv.reader(fp), start=1):
+            reader = csv.reader(fp)
+            for lineno, row in enumerate(reader, start=1):
                 if lineno > 1:
                     try:
                         ident, upload, download = row
@@ -138,6 +144,10 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
                     peers.append(peer)
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseInputError(f"{path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseInputError(f"{path}:{reader.line_num}: {exc}") from exc
     if not peers:
         raise ParseInputError(f"{path}: no peers found")
     return peers
@@ -152,6 +162,8 @@ def _read_json(path: str):
             return json.load(fp)
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseInputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseInputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
 
@@ -250,7 +262,11 @@ def _write_output(
     from acide import output
 
     fmt = args.format
-    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fp:
+    try:
+        target = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
+    with target as fp:
         if document is not None and fmt == "json":
             output.write_json(fp, document())
         else:
@@ -472,6 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except ParseInputError as exc:
         _fail("parse", str(exc))
+        return EXIT_INVALID
+    except OutputError as exc:
+        _fail("output", str(exc))
         return EXIT_INVALID
     except InsufficientBudgetError as exc:
         _fail("insufficient-budget", str(exc))

@@ -198,6 +198,9 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     downloads = [p.download for p in peer_list]
     violations: list[AssumptionViolation] = []
 
+    def report(code: str, message: str) -> None:
+        violations.append(AssumptionViolation(code, message))
+
     total_upload = upload_total(uploads)
     total_download = upload_total(downloads)
     min_download = min(downloads)
@@ -207,52 +210,29 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     ):
         bad = [p.id for p in peer_list if not (0 < p.upload < math.inf and 0 < p.download < math.inf)]
         if bad:  # else only a sum overflowed
-            violations.append(
-                AssumptionViolation(
-                    BANDWIDTH_NOT_POSITIVE_FINITE,
-                    f"upload or download is not positive and finite for peer(s): {', '.join(bad)}",
-                )
-            )
+            report(BANDWIDTH_NOT_POSITIVE_FINITE,
+                   f"upload or download is not positive and finite for peer(s): {', '.join(bad)}")
     ids = [p.id for p in peer_list]
     if len(set(ids)) != len(ids):
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
-        violations.append(
-            AssumptionViolation(DUPLICATE_ID, f"peer id(s) given more than once: {', '.join(repeated)}")
-        )
+        report(DUPLICATE_ID, f"peer id(s) given more than once: {', '.join(repeated)}")
     bad = [p.id for p in peer_list if p.upload > p.download]
     if bad:
-        violations.append(
-            AssumptionViolation(
-                UPLOAD_OVER_DOWNLOAD,
-                f"upload exceeds download for peer(s): {', '.join(bad)}",
-            )
-        )
+        report(UPLOAD_OVER_DOWNLOAD, f"upload exceeds download for peer(s): {', '.join(bad)}")
     if rate >= total_download:
-        violations.append(
-            AssumptionViolation(
-                STREAM_OVER_CLUSTER_DOWNLOAD,
-                f"livestream bandwidth {rate:.2f} bps is not below the cluster "
-                f"download total {total_download:.2f} bps",
-            )
-        )
+        report(STREAM_OVER_CLUSTER_DOWNLOAD,
+               f"livestream bandwidth {rate:.2f} bps is not below the cluster "
+               f"download total {total_download:.2f} bps")
     max_upload = max(uploads)
     if max_upload > min_download:
-        violations.append(
-            AssumptionViolation(
-                UPLOAD_OVER_MIN_DOWNLOAD,
-                f"largest upload {max_upload:.2f} bps exceeds smallest download "
-                f"{min_download:.2f} bps, so some peer cannot absorb another's block",
-            )
-        )
+        report(UPLOAD_OVER_MIN_DOWNLOAD,
+               f"largest upload {max_upload:.2f} bps exceeds smallest download "
+               f"{min_download:.2f} bps, so some peer cannot absorb another's block")
     mean_upload = total_upload / len(uploads)
     if rate > mean_upload:
-        violations.append(
-            AssumptionViolation(
-                STREAM_OVER_MEAN_UPLOAD,
-                f"livestream bandwidth {rate:.2f} bps exceeds the mean upload "
-                f"{mean_upload:.2f} bps: no feasible allocation exists",
-            )
-        )
+        report(STREAM_OVER_MEAN_UPLOAD,
+               f"livestream bandwidth {rate:.2f} bps exceeds the mean upload "
+               f"{mean_upload:.2f} bps: no feasible allocation exists")
     return ValidationReport(tuple(violations))
 
 

@@ -13,6 +13,7 @@ delay bound.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import IO, NamedTuple
 
 from acide.core import AllocationPlan, StreamParams
@@ -49,21 +50,20 @@ class SimulationTrace(NamedTuple):
     def events(self) -> tuple[TransferEvent, ...]:
         """Every transfer: phase 1 by block, then phase 2 in build_schedule order.
 
-        Built afresh on each read; a trace of n peers has n^2 events.
+        Step t sends position i's block to position i + t, so its receivers are the ids
+        rotated by t. Built afresh on each read, a step at a time; n peers give n^2 events.
         """
         plan = self.plan
         phase1_ends, phase2_start, durations, step_length = _timing(plan)
-        events = [
-            TransferEvent(1, 0, BASE_STATION, peer.id, i + 1, 0.0, end, rate)
-            for i, (peer, end, rate) in enumerate(zip(plan.peers, phase1_ends, plan.peer_bandwidths))
-        ]
-        for step, sender, receiver in build_schedule(len(plan.peers)):
+        ids = [peer.id for peer in plan.peers]
+        uploads = [peer.upload for peer in plan.peers]
+        blocks = range(1, len(ids) + 1)
+        events = list(map(TransferEvent, repeat(1), repeat(0), repeat(BASE_STATION), ids, blocks,
+                          repeat(0.0), phase1_ends, plan.peer_bandwidths))
+        for step in range(1, len(ids)):
             start = phase2_start + (step - 1) * step_length
-            owner = plan.peers[sender - 1]
-            events.append(
-                TransferEvent(2, step, owner.id, plan.peers[receiver - 1].id, sender,
-                              start, start + durations[sender - 1], owner.upload)
-            )
+            events += map(TransferEvent, repeat(2), repeat(step), ids, ids[step:] + ids[:step], blocks,
+                          repeat(start), [start + d for d in durations], uploads)
         return tuple(events)
 
 
@@ -92,12 +92,7 @@ def build_schedule(n: int) -> list[tuple[int, int, int]]:
     """
     if n < 1:
         raise ValueError(f"cluster size must be >= 1, got {n}")
-    schedule = []
-    for step in range(1, n):
-        for sender in range(1, n + 1):
-            receiver = (sender - 1 + step) % n + 1
-            schedule.append((step, sender, receiver))
-    return schedule
+    return [(step, sender, (sender - 1 + step) % n + 1) for step in range(1, n) for sender in range(1, n + 1)]
 
 
 def simulate(plan: AllocationPlan) -> SimulationTrace:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -763,3 +764,44 @@ def test_closed_pipe_exits_1_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+# Each command's argv up to --output, {peers} standing for a peer file.
+OUTPUT_COMMANDS = {
+    "solve": ["solve", "--input", "{peers}", "--livestream-bps", "10000"],
+    "admit": ["admit", "--input", "{peers}", "--budget-bps", "15000", "--livestream-bps", "10000"],
+    "simulate": ["simulate", "--input", "{peers}", "--livestream-bps", "10000"],
+    "sweep": ["sweep", "--sizes", "5"],
+    "curve": ["curve", "--sizes", "5", "--livestream-bps", "10000"],
+    "profile": ["profile", "--sizes", "5", "--livestream-bps", "10000"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_output_into_a_missing_directory_is_an_output_error(tmp_path, peers_csv, capsys, command):
+    out = tmp_path / "absent" / "out.csv"
+    argv = [a.format(peers=peers_csv) for a in OUTPUT_COMMANDS[command]]
+    code = main([*argv, "--output", str(out)])
+    # curve and profile write one file per size, suffixed _n<size>.
+    opened = out.with_name("out_n5.csv") if command in ("curve", "profile") else out
+    assert code == 2
+    assert capsys.readouterr().err == f"error[output]: {opened}: {os.strerror(errno.ENOENT)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name, data",
+    [
+        (["solve", "--livestream-bps", "10000", "--input"], "peers.csv", b"id,u_bps,d_bps\n\xff,10000,20000\n"),
+        (["solve", "--livestream-bps", "10000", "--input"], "peers.json",
+         b'[{"id": "\xff", "u_bps": 10000, "d_bps": 20000}]'),
+        (["sweep", "--input"], "scenario.json", b'{"cluster_sizes": [5], "seed": "\xff"}'),
+    ],
+    ids=["csv", "json", "scenario"],
+)
+def test_input_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, capsys, argv, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as decode_error:
+        data.decode("utf-8")
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == f"error[parse]: {path}: {decode_error.value}\n"

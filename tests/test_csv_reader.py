@@ -98,3 +98,10 @@ def test_error_names_the_line_of_the_bad_row(tmp_path):
     path.write_text("id,u_bps,d_bps\n" + GOOD + "\n" + "b,nan,30000\n", encoding="utf-8")
     with pytest.raises(ParseInputError, match=r"peers\.csv:4: bandwidths must be positive and finite"):
         load_peers_csv(str(path))
+
+
+def test_field_over_the_csv_field_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "peers.csv"
+    path.write_text("id,u_bps,d_bps\n" + GOOD + "x" * 200_000 + ",15000,30000\n", encoding="utf-8")
+    with pytest.raises(ParseInputError, match=r"peers\.csv:3: field larger than field limit \(131072\)$"):
+        load_peers_csv(str(path))

@@ -54,21 +54,34 @@ def in_process_main(argv: list[str]) -> tuple[int, str, str, int]:
     return code, out, err, frozen
 
 
-# argv, with {peers} and {bad} standing for a valid and a malformed peer file,
-# and the exit code main() returns.
+# The files command() writes: a valid peer file, a malformed one, one with a
+# field over the csv module's field size limit, and one that is not UTF-8.
+FILES = {
+    "peers": PEERS_CSV.encode(),
+    "bad": b"id,u_bps,d_bps\na,ten,20000\n",
+    "big": b"id,u_bps,d_bps\n" + b"x" * 200_000 + b",10000,20000\n",
+    "latin": b"id,u_bps,d_bps\n\xe9,10000,20000\n",
+}
+
+# argv, with {peers}, {bad}, {big} and {latin} standing for those files and
+# {tmp} for the test's directory, and the exit code main() returns.
 COMMANDS = {
     "simulate": (["simulate", "--input", "{peers}", *STREAM_FLAGS], 0),
     "admit": (["admit", "--input", "{peers}", "--budget-bps", "15000", *STREAM_FLAGS], 0),
     "exit-2": (["solve", "--input", "{bad}", *STREAM_FLAGS], 2),
+    "exit-2-field-limit": (["solve", "--input", "{big}", *STREAM_FLAGS], 2),
+    "exit-2-not-utf8": (["solve", "--input", "{latin}", *STREAM_FLAGS], 2),
+    "exit-2-output": (["sweep", "--sizes", "5", "--output", "{tmp}/absent/sweep.csv"], 2),
     "exit-3": (["admit", "--input", "{peers}", "--budget-bps", "9000", *STREAM_FLAGS], 3),
 }
 
 
 def command(name: str, tmp_path: Path) -> tuple[list[str], int]:
-    (tmp_path / "peers.csv").write_text(PEERS_CSV, encoding="utf-8")
-    (tmp_path / "bad.csv").write_text("id,u_bps,d_bps\na,ten,20000\n", encoding="utf-8")
+    paths = {key: tmp_path / f"{key}.csv" for key in FILES}
+    for key, path in paths.items():
+        path.write_bytes(FILES[key])
     argv, code = COMMANDS[name]
-    return [a.format(peers=tmp_path / "peers.csv", bad=tmp_path / "bad.csv") for a in argv], code
+    return [a.format(tmp=tmp_path, **paths) for a in argv], code
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -79,7 +92,8 @@ def test_module_entry_point_matches_in_process_main(tmp_path, name):
     if code == 0:
         assert out and not err
     else:
-        assert not out and err.startswith("error[")
+        # One error line and no traceback.
+        assert not out and err.startswith("error[") and err.count("\n") == 1 and err.endswith("\n")
     result = fresh_python("-m", "acide.cli", *argv)
     assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
 

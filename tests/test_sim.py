@@ -102,6 +102,17 @@ class TestSimulate:
         report = playback_check(trace, STREAM)
         assert report.continuous
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_events_are_transfer_events_with_typed_fields(self, n):
+        # Tuple equality would pass a plain tuple, or 0 where 0.0 belongs.
+        events = simulate(min_bandwidth(random_cluster(random.Random(n), n), STREAM)).events
+        assert len(events) == n * n
+        for e in events:
+            assert type(e) is sim.TransferEvent
+            assert [type(v) for v in (e.phase, e.step, e.block_index)] == [int] * 3
+            assert [type(v) for v in (e.sender, e.receiver)] == [str] * 2
+            assert [type(v) for v in (e.start_time, e.end_time, e.rate)] == [float] * 3
+
     def test_event_duration_consistent_with_rate(self):
         rng = random.Random(404)
         for _ in range(20):
