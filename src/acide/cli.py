@@ -1,11 +1,14 @@
 """Command-line front end: solve, admit, simulate, sweep, curve, profile.
 
-Exit codes: 0 success, 2 parse/validation/output failure, 3 insufficient budget.
-Every failure prints one line to stderr of the form `error[<code>]: <detail>`
-so scripts can branch on the reason; `error[output]` names an --output file
-that cannot be opened for writing. The default seed is 42 and may be
-overridden by the ACIDE_SEED environment variable or the --seed flag
-(flag wins); for sweep, a scenario file's seed ranks between the two.
+A command returns the lines it prints and the files it writes; main writes
+every file first, in order, then prints the lines, so a command that fails
+prints nothing on stdout. Exit codes: 0 success, 2 parse/validation/output
+failure, 3 insufficient budget. Every failure prints one line to stderr of
+the form `error[<code>]: <detail>` so scripts can branch on the reason;
+`error[output]` names an --output file that cannot be opened for writing.
+The default seed is 42 and may be overridden by the ACIDE_SEED environment
+variable or the --seed flag (flag wins); for sweep, a scenario file's seed
+ranks between the two.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from acide.core import (
@@ -37,6 +42,12 @@ from acide.core import (
 if TYPE_CHECKING:
     from acide import output
 
+    # A file a command writes: (path, columns, rows, document), path None for
+    # stdout. rows and document take no arguments and only the one for the
+    # format written is called: document, when given, for JSON, else rows.
+    File = tuple[str | None, output.Columns, Callable[[], Iterable[Sequence]], Callable[[], dict] | None]
+    Result = tuple[list[str], list[File]]
+
 # json, pathlib and the acide modules other than core are imported only by
 # the functions that use them: admit loads neither acide.sim nor
 # acide.output, and simulate without --output loads neither acide.admission
@@ -53,8 +64,8 @@ class ParseInputError(Exception):
     """Malformed input file; message names the file (and line where known)."""
 
 
-class OutputError(Exception):
-    """An --output file that cannot be opened for writing; message names the file."""
+class ClusterRefused(Exception):
+    """A peer list that breaks cluster assumptions; args[0] holds every violation."""
 
 
 def _fail(code: str, message: str) -> None:
@@ -103,43 +114,44 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
     return PeerProfile(id=str(ident), upload=u, download=d)
 
 
-def _csv_row(path: str, lineno: int, row: list[str]) -> PeerProfile | None:
-    """One CSV row with every check; None for a blank row or a header on line 1."""
+def _csv_row(where: str, row: list[str]) -> PeerProfile | None:
+    """One CSV row with every check, `where` naming its file and line; None for a blank row."""
     if not row or (len(row) == 1 and not row[0].strip()):
         return None
-    if lineno == 1 and [c.strip().lower() for c in row[:1]] == ["id"]:
-        return None
     if len(row) != 3:
-        raise ParseInputError(f"{path}:{lineno}: expected 3 fields id,u_bps,d_bps, got {len(row)}")
-    return _peer(f"{path}:{lineno}", row[0].strip(), row[1], row[2])
+        raise ParseInputError(f"{where}: expected 3 fields id,u_bps,d_bps, got {len(row)}")
+    return _peer(where, row[0].strip(), row[1], row[2])
 
 
 def load_peers_csv(path: str) -> list[PeerProfile]:
     """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional.
 
-    Rows after the first that hold a well-formed peer are read inline. The
-    first row, which may be the header, and every row the inline test turns
-    down go through _csv_row, which skips blank rows and gives each error
-    its message, so both routes accept and refuse the same rows.
+    Only the first record may be the header. Every other record that holds
+    a well-formed peer is read inline; every record the inline test turns
+    down goes through _csv_row, which skips blank rows and gives each error
+    its message, so both routes accept and refuse the same rows. Errors
+    name the physical line where the record ends, which differs from the
+    record number once a quoted field spans lines.
     """
     inf = math.inf
     peers = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
             reader = csv.reader(fp)
-            for lineno, row in enumerate(reader, start=1):
-                if lineno > 1:
-                    try:
-                        ident, upload, download = row
-                        u, d = float(upload), float(download)
-                    except ValueError:
-                        pass
-                    else:
-                        ident = ident.strip()
-                        if ident and 0 < u < inf and 0 < d < inf:
-                            peers.append(PeerProfile(ident, u, d))
-                            continue
-                peer = _csv_row(path, lineno, row)
+            first = next(reader, [])
+            rows = reader if [c.strip().lower() for c in first[:1]] == ["id"] else chain([first], reader)
+            for row in rows:
+                try:
+                    ident, upload, download = row
+                    u, d = float(upload), float(download)
+                except ValueError:
+                    pass
+                else:
+                    ident = ident.strip()
+                    if ident and 0 < u < inf and 0 < d < inf:
+                        peers.append(PeerProfile(ident, u, d))
+                        continue
+                peer = _csv_row(f"{path}:{reader.line_num}", row)
                 if peer is not None:
                     peers.append(peer)
     except OSError as exc:
@@ -239,70 +251,48 @@ def _resolve_stream(args: argparse.Namespace, stream_info: dict) -> StreamParams
     return StreamParams(package_size=package, delay_bound=delay_s)
 
 
-def _report_violations(peers, stream, codes: Sequence[str] | None = None) -> bool:
-    """Print every violated cluster assumption (only `codes`, when given); True if none."""
+def _check_cluster(peers, stream, codes: Sequence[str] | None = None) -> None:
+    """Raise ClusterRefused with every violated cluster assumption (only `codes`, when given)."""
     found = [v for v in validate_cluster(peers, stream).violations if codes is None or v.code in codes]
-    for v in found:
-        _fail(f"validation:{v.code}", v.message)
-    return not found
-
-
-def _write_output(
-    args: argparse.Namespace,
-    path: str | None,
-    columns: output.Columns,
-    rows: Iterable[Sequence],
-    document: Callable[[], dict] | None = None,
-) -> None:
-    """Write a command's table to `path` (stdout when None) in --format.
-
-    Commands whose JSON is a nested document rather than the table pass
-    `document`, which is only built when JSON is asked for.
-    """
-    from acide import output
-
-    fmt = args.format
-    try:
-        target = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
-    with target as fp:
-        if document is not None and fmt == "json":
-            output.write_json(fp, document())
-        else:
-            output.write_table(fp, fmt, columns, rows)
+    if found:
+        raise ClusterRefused(found)
 
 
 def _fmt_bw(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _print_plan(plan) -> None:
-    print(f"peers: {len(plan.peers)}")
-    print(f"phase 1: {plan.phase1_time:.6f} s   phase 2: {plan.phase2_time:.6f} s")
-    print(f"total allocated bandwidth: {_fmt_bw(plan.total_bandwidth)} bps")
-    print("id,u_bps,s_bits,bw_bps")
-    for p, s, bw in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths):
-        print(f"{p.id},{_fmt_bw(p.upload)},{s:.6f},{_fmt_bw(bw)}")
+def _with_output(args: argparse.Namespace, lines: list[str], table: Callable[..., tuple]) -> Result:
+    """A command's lines and, with --output, its file and a `wrote` line.
+
+    table(output) gives the file's columns, rows and document from
+    acide.output, which is imported only when there is a file to write.
+    """
+    if not args.output:
+        return lines, []
+    from acide import output
+
+    return [*lines, f"wrote {args.output}"], [(args.output, *table(output))]
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> Result:
     peers, stream_info = _load_peer_input(args.input)
     stream = _resolve_stream(args, stream_info)
-    if not _report_violations(peers, stream):
-        return EXIT_INVALID
+    _check_cluster(peers, stream)
     plan = min_bandwidth(peers, stream)
-    _print_plan(plan)
-    if args.output:
-        from acide import output
+    lines = [
+        f"peers: {len(plan.peers)}",
+        f"phase 1: {plan.phase1_time:.6f} s   phase 2: {plan.phase2_time:.6f} s",
+        f"total allocated bandwidth: {_fmt_bw(plan.total_bandwidth)} bps",
+        "id,u_bps,s_bits,bw_bps",
+        *(f"{p.id},{_fmt_bw(p.upload)},{s:.6f},{_fmt_bw(bw)}"
+          for p, s, bw in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths)),
+    ]
+    return _with_output(args, lines, lambda output: (
+        output.PLAN_COLUMNS, partial(output.plan_rows, plan), partial(output.plan_document, plan)))
 
-        _write_output(args, args.output, output.PLAN_COLUMNS, output.plan_rows(plan),
-                      lambda: output.plan_document(plan))
-        print(f"wrote {args.output}")
-    return EXIT_OK
 
-
-def _cmd_admit(args: argparse.Namespace) -> int:
+def _cmd_admit(args: argparse.Namespace) -> Result:
     from acide.admission import AdmissionBudget, join_cluster
 
     peers, stream_info = _load_peer_input(args.input)
@@ -310,52 +300,42 @@ def _cmd_admit(args: argparse.Namespace) -> int:
     # Candidates only need usable bandwidths, distinct ids and individually
     # consistent links here; pool-level feasibility is what admission itself
     # decides.
-    codes = (BANDWIDTH_NOT_POSITIVE_FINITE, DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)
-    if not _report_violations(peers, stream, codes=codes):
-        return EXIT_INVALID
+    _check_cluster(peers, stream, codes=(BANDWIDTH_NOT_POSITIVE_FINITE, DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD))
     outcome = join_cluster(AdmissionBudget(float(args.budget_bps), tuple(peers), stream))
-    print(f"admitted {len(outcome.admitted)} of {len(peers)} candidates")
-    print(
+    lines = [
+        f"admitted {len(outcome.admitted)} of {len(peers)} candidates",
         f"allocated bandwidth: {_fmt_bw(outcome.plan.total_bandwidth)} bps "
-        f"(budget {_fmt_bw(args.budget_bps)} bps)"
-    )
-    print(f"efficiency: {outcome.efficiency * 100.0:.2f}%")
+        f"(budget {_fmt_bw(args.budget_bps)} bps)",
+        f"efficiency: {outcome.efficiency * 100.0:.2f}%",
+    ]
     if outcome.rejected:
-        print(f"rejected: {', '.join(p.id for p in outcome.rejected)}")
-    if args.output:
-        from acide import output
-
-        _write_output(args, args.output, output.PLAN_COLUMNS, output.plan_rows(outcome.plan),
-                      lambda: output.outcome_document(outcome))
-        print(f"wrote {args.output}")
-    return EXIT_OK
+        lines.append(f"rejected: {', '.join(p.id for p in outcome.rejected)}")
+    return _with_output(args, lines, lambda output: (
+        output.PLAN_COLUMNS, partial(output.plan_rows, outcome.plan),
+        partial(output.outcome_document, outcome)))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Result:
     from acide.sim import playback_check, simulate
 
     peers, stream_info = _load_peer_input(args.input)
     stream = _resolve_stream(args, stream_info)
-    if not _report_violations(peers, stream):
-        return EXIT_INVALID
+    _check_cluster(peers, stream)
     plan = min_bandwidth(peers, stream)
     trace = simulate(plan)
     report = playback_check(trace, stream)
-    status = "continuous" if report.continuous else "VIOLATION"
-    print(f"playback: {status}")
-    print(f"makespan: {trace.makespan:.9f} s (delay bound {stream.delay_bound:.9f} s)")
+    lines = [
+        f"playback: {'continuous' if report.continuous else 'VIOLATION'}",
+        f"makespan: {trace.makespan:.9f} s (delay bound {stream.delay_bound:.9f} s)",
+    ]
     if not report.continuous:
-        print(f"worst peer: {report.worst_peer} overshoot {report.overshoot:.9f} s")
-    if args.output:
-        from acide import output
-
-        _write_output(args, args.output, output.TRACE_COLUMNS, trace.events,
-                      lambda: output.trace_document(trace))
-        print(f"wrote {args.output}")
-    return EXIT_OK
+        lines.append(f"worst peer: {report.worst_peer} overshoot {report.overshoot:.9f} s")
+    # The events are built only by the writer, so only once whichever format it writes.
+    return _with_output(args, lines, lambda output: (
+        output.TRACE_COLUMNS, lambda: trace.events, partial(output.trace_document, trace)))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Result:
     from acide import output
     from acide.experiments import run_admission_sweep, scenario_from_dict
 
@@ -369,38 +349,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         data["seed"] = _seed(args)
     spec = scenario_from_dict(data, source=args.input or "<scenario>")
     records = run_admission_sweep(spec)
-    _write_output(args, args.output, output.RECORD_COLUMNS, records)
-    if args.output:
-        print(f"wrote {len(records)} records to {args.output}")
-    return EXIT_OK
+    lines = [f"wrote {len(records)} records to {args.output}"] if args.output else []
+    return lines, [(args.output, output.RECORD_COLUMNS, partial(iter, records), None)]
 
 
-def _write_per_size(args: argparse.Namespace, columns: output.Columns, tables: Iterable[tuple]) -> None:
-    """Write each (size, rows) table to --output suffixed _n<size>, printing `wrote <path>` after each."""
+def _per_size(args: argparse.Namespace, columns: output.Columns, tables: Iterable[tuple]) -> Result:
+    """One file per (size, rows) table at --output suffixed _n<size>, each with a `wrote` line."""
     from pathlib import Path
 
     p = Path(args.output)
-    for size, rows in tables:
-        out = str(p.with_name(f"{p.stem}_n{size}{p.suffix or '.csv'}"))
-        _write_output(args, out, columns, rows)
-        print(f"wrote {out}")
+    files = [(str(p.with_name(f"{p.stem}_n{size}{p.suffix or '.csv'}")), columns, partial(iter, rows), None)
+             for size, rows in tables]
+    return [f"wrote {path}" for path, *_ in files], files
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: argparse.Namespace) -> Result:
     from acide import output
     from acide.experiments import admitted_vs_budget_curve
 
     seed, delay_s = _seed(args), _delay_s(args)
-    # Every curve is computed before any is written, so a failing size leaves no files.
+    # Each size once, in the order first given; every curve is computed
+    # before any is written, so a failing size leaves no files.
     curves = [
         (size, admitted_vs_budget_curve(size, float(args.livestream_bps), seed, delay_bound=delay_s))
-        for size in args.sizes
+        for size in dict.fromkeys(args.sizes)
     ]
-    _write_per_size(args, output.CURVE_COLUMNS, curves)
-    return EXIT_OK
+    return _per_size(args, output.CURVE_COLUMNS, curves)
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace) -> Result:
     from acide import output
     from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, block_size_profile
 
@@ -408,8 +385,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     stream = StreamParams(package_size=float(args.livestream_bps) * delay_s, delay_bound=delay_s)
     profiles = block_size_profile(args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, seed)
     tables = ((size, output.profile_rows(rows)) for size, rows in sorted(profiles.items()))
-    _write_per_size(args, output.PROFILE_COLUMNS, tables)
-    return EXIT_OK
+    return _per_size(args, output.PROFILE_COLUMNS, tables)
 
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
@@ -485,12 +461,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        lines, files = args.handler(args)
+        for path, columns, rows, document in files:
+            from acide import output
+
+            try:
+                target = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+            except OSError as exc:
+                _fail("output", f"{path}: {exc.strerror or exc}")
+                return EXIT_INVALID
+            with target as fp:
+                if document is not None and args.format == "json":
+                    output.write_json(fp, document())
+                else:
+                    output.write_table(fp, args.format, columns, rows())
     except ParseInputError as exc:
         _fail("parse", str(exc))
         return EXIT_INVALID
-    except OutputError as exc:
-        _fail("output", str(exc))
+    except ClusterRefused as exc:
+        for v in exc.args[0]:
+            _fail(f"validation:{v.code}", v.message)
         return EXIT_INVALID
     except InsufficientBudgetError as exc:
         _fail("insufficient-budget", str(exc))
@@ -501,6 +491,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         _fail("validation", str(exc))
         return EXIT_INVALID
+    for line in lines:
+        print(line)
+    return EXIT_OK
 
 
 def run() -> None:

@@ -16,7 +16,7 @@ import math
 from itertools import repeat
 from typing import IO, NamedTuple
 
-from acide.core import AllocationPlan, StreamParams
+from acide.core import ABS_TOL, REL_TOL, AllocationPlan, StreamParams
 
 BASE_STATION = "base-station"
 
@@ -150,7 +150,7 @@ def playback_check(trace: SimulationTrace, params: StreamParams) -> PlaybackRepo
     bound = params.delay_bound
     worst_peer, worst_time = max(trace.completion_times.items(), key=lambda kv: (kv[1], kv[0]))
     # Tolerate float noise: an optimal plan lands exactly on the bound.
-    continuous = worst_time <= bound * (1 + 1e-9) + 1e-12
+    continuous = worst_time <= bound * (1 + REL_TOL) + ABS_TOL
     return PlaybackReport(
         continuous=continuous,
         makespan=trace.makespan,

@@ -257,16 +257,19 @@ def reference_load_peers_csv(path: str) -> list[PeerProfile]:
     peers = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
-            for lineno, row in enumerate(csv.reader(fp), start=1):
+            reader = csv.reader(fp)
+            for record, row in enumerate(reader, start=1):
+                # Errors name the physical line where the record ends.
+                line = reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if lineno == 1 and [c.strip().lower() for c in row[:1]] == ["id"]:
+                if record == 1 and [c.strip().lower() for c in row[:1]] == ["id"]:
                     continue
                 if len(row) != 3:
                     raise ParseInputError(
-                        f"{path}:{lineno}: expected 3 fields id,u_bps,d_bps, got {len(row)}"
+                        f"{path}:{line}: expected 3 fields id,u_bps,d_bps, got {len(row)}"
                     )
-                peers.append(_peer(f"{path}:{lineno}", row[0].strip(), row[1], row[2]))
+                peers.append(_peer(f"{path}:{line}", row[0].strip(), row[1], row[2]))
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
     if not peers:

@@ -324,6 +324,27 @@ class TestSimulate:
         assert rows[0] == ["phase", "step", "sender", "receiver", "block", "start_s", "end_s", "rate_bps"]
         assert len(rows) == 1 + 3 + 6
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_output_builds_each_event_once(self, tmp_path, monkeypatch, fmt):
+        from acide import sim
+
+        n = 40
+        pool = generate_peers(n, DEFAULT_UPLOAD_RANGES[n], DEFAULT_DOWNLOAD_RANGES[n], seed=7)
+        path = tmp_path / "pool.csv"
+        path.write_text("".join(f"{p.id},{p.upload!r},{p.download!r}\n" for p in pool), encoding="utf-8")
+        built = []
+        event = sim.TransferEvent
+
+        def counted(*fields):
+            built.append(fields)
+            return event(*fields)
+
+        monkeypatch.setattr(sim, "TransferEvent", counted)
+        out = str(tmp_path / f"trace.{fmt}")
+        argv = ["simulate", "--input", str(path), "--livestream-bps", "10000", "--output", out, "--format", fmt]
+        assert main(argv) == 0
+        assert len(built) == n * n
+
     def test_json_trace(self, peers_csv, tmp_path):
         out = tmp_path / "trace.json"
         code = main(
@@ -495,19 +516,24 @@ class TestSweep:
 
 class TestCurveAndProfile:
     def test_curve_files(self, tmp_path, capsys):
-        out = tmp_path / "curve.csv"
-        code = main(
-            ["curve", "--sizes", "10", "5", "--livestream-bps", "10000", "--seed", "3", "--output", str(out)]
-        )
-        assert code == 0
-        # One file per size, written and reported in the order the sizes were given.
-        assert capsys.readouterr().out == f"wrote {tmp_path / 'curve_n10.csv'}\nwrote {tmp_path / 'curve_n5.csv'}\n"
-        for size in (5, 10):
-            path = tmp_path / f"curve_n{size}.csv"
-            rows = csv_rows(path)
-            assert rows[0] == ["BW_bps", "n"]
-            assert len(rows) == 1 + size
-            assert rows[-1][1] == str(size)
+        # A size given twice is taken once, where it first appears.
+        for run, sizes in enumerate((["10", "5"], ["10", "5", "5"])):
+            directory = tmp_path / str(run)
+            directory.mkdir()
+            code = main(
+                ["curve", "--sizes", *sizes, "--livestream-bps", "10000", "--seed", "3",
+                 "--output", str(directory / "curve.csv")]
+            )
+            assert code == 0
+            # One file per size, written and reported in the order the sizes were given.
+            assert capsys.readouterr().out == (
+                f"wrote {directory / 'curve_n10.csv'}\nwrote {directory / 'curve_n5.csv'}\n"
+            )
+            for size in (5, 10):
+                rows = csv_rows(directory / f"curve_n{size}.csv")
+                assert rows[0] == ["BW_bps", "n"]
+                assert len(rows) == 1 + size
+                assert rows[-1][1] == str(size)
 
     def test_profile_files(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
@@ -780,12 +806,18 @@ OUTPUT_COMMANDS = {
 @pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
 def test_output_into_a_missing_directory_is_an_output_error(tmp_path, peers_csv, capsys, command):
     out = tmp_path / "absent" / "out.csv"
-    argv = [a.format(peers=peers_csv) for a in OUTPUT_COMMANDS[command]]
-    code = main([*argv, "--output", str(out)])
+    argv = [*(a.format(peers=peers_csv) for a in OUTPUT_COMMANDS[command]), "--output", str(out)]
     # curve and profile write one file per size, suffixed _n<size>.
     opened = out.with_name("out_n5.csv") if command in ("curve", "profile") else out
+    error = f"error[output]: {opened}: {os.strerror(errno.ENOENT)}\n"
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert capsys.readouterr().err == f"error[output]: {opened}: {os.strerror(errno.ENOENT)}\n"
+    # Nothing reaches stdout: the files are written before any line is printed.
+    assert (captured.out, captured.err) == ("", error)
+    proc = subprocess.run([sys.executable, "-m", "acide.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ further down, where the inline route sees them first.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from acide.cli import ParseInputError, load_peers_csv
@@ -94,10 +96,12 @@ def test_missing_file_matches_reference(tmp_path):
 
 
 def test_error_names_the_line_of_the_bad_row(tmp_path):
-    path = tmp_path / "peers.csv"
-    path.write_text("id,u_bps,d_bps\n" + GOOD + "\n" + "b,nan,30000\n", encoding="utf-8")
-    with pytest.raises(ParseInputError, match=r"peers\.csv:4: bandwidths must be positive and finite"):
-        load_peers_csv(str(path))
+    # A blank line, and a quoted id spread over two lines: either way the bad row is on line 4.
+    for name, text in [("peers.csv", "id,u_bps,d_bps\n" + GOOD + "\n"), ("ml.csv", GOOD + '"x\ny",15000,30000\n')]:
+        path = tmp_path / name
+        path.write_text(text + "b,nan,30000\n", encoding="utf-8")
+        with pytest.raises(ParseInputError, match=rf"{re.escape(name)}:4: bandwidths must be positive"):
+            load_peers_csv(str(path))
 
 
 def test_field_over_the_csv_field_limit_is_a_parse_error(tmp_path):
