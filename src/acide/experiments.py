@@ -92,10 +92,25 @@ def _ranges(ranges: Mapping) -> dict[int, tuple[float, float]]:
 def pool_ranges(
     size: int, upload_ranges: Mapping, download_ranges: Mapping
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The (upload, download) draw ranges for a pool of `size`; ValueError when either is missing."""
+    """The (upload, download) draw ranges for a pool of `size`, checked by the one pool rule.
+
+    In this order, ValueError for a size below 1, for a size missing from
+    either mapping, for a range outside 0 < low <= high with finite ends
+    (upload first), and for a pair whose smallest upload exceeds its largest
+    download, which no draw could chain.
+    """
+    if size < 1:
+        raise ValueError(f"cluster sizes must be >= 1, got {size}")
     if size not in upload_ranges or size not in download_ranges:
         raise ValueError(f"no upload/download range given for cluster size {size}")
-    return upload_ranges[size], download_ranges[size]
+    pair = upload_ranges[size], download_ranges[size]
+    for field, (low, high) in zip(("upload_ranges", "download_ranges"), pair):
+        if not (0 < low <= high < math.inf):
+            raise ValueError(f"{field}[{size}] must satisfy 0 < low <= high, both finite, got [{low}, {high}]")
+    (u_low, _), (_, d_high) = pair
+    if u_low > d_high:
+        raise ValueError(f"impossible constraint: smallest upload {u_low} exceeds largest download {d_high}")
+    return pair
 
 
 class ScenarioSpec(_ScenarioFields):
@@ -103,10 +118,11 @@ class ScenarioSpec(_ScenarioFields):
 
     Sizes, range keys and the seed must be whole numbers and are stored as
     int; range ends, the delay bound, rates and budgets are stored as float.
-    Every size needs an upload and a download range, and a string where a
-    sequence belongs is refused rather than read character by character;
-    copies made with _replace or _make are converted and checked like new
-    values.
+    Each size, then each range key, must pass the pool rule of pool_ranges,
+    in its order: size >= 1, both ranges given, 0 < low <= high with finite
+    ends, smallest upload <= largest download. A string where a sequence
+    belongs is refused rather than read character by character; copies made
+    with _replace or _make are converted and checked like new values.
     """
 
     __slots__ = ()
@@ -144,16 +160,8 @@ class ScenarioSpec(_ScenarioFields):
             for v in values:
                 if not (v > 0 and math.isfinite(v)):
                     raise ValueError(f"{field} must be positive and finite, got {v}")
-        for size in self.cluster_sizes:
-            if size < 1:
-                raise ValueError(f"cluster sizes must be >= 1, got {size}")
+        for size in (*self.cluster_sizes, *self.upload_ranges, *self.download_ranges):
             pool_ranges(size, self.upload_ranges, self.download_ranges)
-        for field in ("upload_ranges", "download_ranges"):
-            for size, (low, high) in getattr(self, field).items():
-                if not (0 < low <= high and math.isfinite(high)):
-                    raise ValueError(
-                        f"{field}[{size}] must satisfy 0 < low <= high, both finite, got [{low}, {high}]"
-                    )
         return self
 
     @classmethod
@@ -198,19 +206,12 @@ def generate_peers(
     other's block). Whole batches are redrawn until the constraint holds,
     which also keeps the draw unbiased within the constraint; pathological
     range pairs give up after MAX_REDRAWS attempts. Output is sorted
-    ascending by upload and deterministic for a given seed.
+    ascending by upload and deterministic for a given seed. The size and
+    ranges first pass the pool rule of pool_ranges, in its order and with its
+    messages: size >= 1, 0 < low <= high with finite ends, smallest upload
+    <= largest download.
     """
-    if size < 1:
-        raise ValueError(f"pool size must be >= 1, got {size}")
-    u_low, u_high = upload_range
-    d_low, d_high = download_range
-    for low, high, label in ((u_low, u_high, "upload"), (d_low, d_high, "download")):
-        if not (0 < low <= high < math.inf):
-            raise ValueError(f"bad {label} range [{low}, {high}]")
-    if u_low > d_high:
-        raise ValueError(
-            f"impossible constraint: smallest upload {u_low} exceeds largest download {d_high}"
-        )
+    (u_low, u_high), (d_low, d_high) = pool_ranges(size, {size: upload_range}, {size: download_range})
     rng = random.Random(seed)
     for _ in range(MAX_REDRAWS):
         uploads = [rng.uniform(u_low, u_high) for _ in range(size)]
@@ -241,20 +242,17 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
     ascending, budget descending. A budget below the livestream bandwidth
     admits nobody and is recorded with n_admitted = 0.
     """
-    pools = {
-        size: generate_peers(
-            size, *pool_ranges(size, spec.upload_ranges, spec.download_ranges), pool_seed(spec.seed, size)
-        )
-        for size in spec.cluster_sizes
-    }
     records: list[ExperimentRecord] = []
     for size in sorted(set(spec.cluster_sizes)):
-        uploads = [p.upload for p in pools[size]]
+        pool = generate_peers(
+            size, *pool_ranges(size, spec.upload_ranges, spec.download_ranges), pool_seed(spec.seed, size)
+        )
+        uploads = [p.upload for p in pool]
         for rate in sorted(set(spec.livestream_bandwidths)):
             stream = StreamParams(package_size=rate * spec.delay_bound, delay_bound=spec.delay_bound)
             for budget in sorted(set(spec.budgets), reverse=True):
                 removed = _first_kept(uploads, stream, budget)
-                bw = allocated_bandwidth(pools[size][removed:], stream) if removed < size else 0.0
+                bw = allocated_bandwidth(pool[removed:], stream) if removed < size else 0.0
                 records.append(
                     ExperimentRecord(
                         pool_size=size,

@@ -649,8 +649,9 @@ def test_bad_delay_is_named_as_the_delay(peers_csv, capsys, delay_ms):
         (["7"], "no upload/download range given for cluster size 7"),
         (["5", "7"], "no upload/download range given for cluster size 7"),
         (["0"], "cluster sizes must be >= 1, got 0"),
+        (["-3"], "cluster sizes must be >= 1, got -3"),
     ],
-    ids=["no-ranges", "one-without-ranges", "zero"],
+    ids=["no-ranges", "one-without-ranges", "zero", "negative"],
 )
 @pytest.mark.parametrize("source", ["defaults", "scenario-file"])
 def test_sweep_size_without_ranges_is_validation_error(tmp_path, capsys, sizes, message, source):
@@ -767,16 +768,46 @@ def test_removed_table1_defaults_flag_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["curve", "profile"])
-@pytest.mark.parametrize("sizes", [["7"], ["5", "7"]], ids=["no-ranges", "one-without-ranges"])
-def test_size_without_ranges_writes_no_file(tmp_path, capsys, command, sizes):
+@pytest.mark.parametrize(
+    "sizes,message",
+    [
+        (["7"], "no upload/download range given for cluster size 7"),
+        (["5", "7"], "no upload/download range given for cluster size 7"),
+        (["0"], "cluster sizes must be >= 1, got 0"),
+        (["-3"], "cluster sizes must be >= 1, got -3"),
+    ],
+    ids=["no-ranges", "one-without-ranges", "zero", "negative"],
+)
+def test_pool_size_fault_writes_no_file(tmp_path, capsys, command, sizes, message):
     out = tmp_path / "out" / "table.csv"
     out.parent.mkdir()
     code = main([command, "--sizes", *sizes, "--livestream-bps", "10000", "--output", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error[validation]: no upload/download range given for cluster size 7\n"
+    assert captured.err == f"error[validation]: {message}\n"
     assert captured.out == ""
     assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "upload,download,message",
+    [
+        ([20000, 10000], [20000, 30000], "upload_ranges[5] must satisfy 0 < low <= high, both finite, got [20000.0, 10000.0]"),
+        ([10000, 20000], [20000, math.nan], "download_ranges[5] must satisfy 0 < low <= high, both finite, got [20000.0, nan]"),
+        ([10000, math.inf], [20000, 30000], "upload_ranges[5] must satisfy 0 < low <= high, both finite, got [10000.0, inf]"),
+        ([50000, 60000], [20000, 30000], "impossible constraint: smallest upload 50000.0 exceeds largest download 30000.0"),
+    ],
+    ids=["inverted", "nan", "infinite", "impossible-pair"],
+)
+def test_scenario_range_fault_has_the_rule_message(tmp_path, capsys, upload, download, message):
+    # json.dumps writes nan and inf as the JSON literals NaN and Infinity, which the reader accepts.
+    ranges = {"upload_ranges": {"5": upload}, "download_ranges": {"5": download}}
+    out = tmp_path / "records.csv"
+    assert main(["sweep", "--input", _scenario(tmp_path, {"cluster_sizes": [5], **ranges}), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[validation]: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_closed_pipe_exits_1_without_a_traceback():

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import pytest
 
 from acide.core import StreamParams, close
+from acide import experiments
 from acide.experiments import (
     DEFAULT_BUDGETS,
     DEFAULT_CLUSTER_SIZES,
     DEFAULT_DOWNLOAD_RANGES,
     DEFAULT_UPLOAD_RANGES,
     ExperimentRecord,
+    ScenarioSpec,
     admitted_vs_budget_curve,
     baseline_bandwidths,
     block_size_profile,
@@ -304,18 +307,18 @@ def test_pool_seed_distinct_per_size():
 
 class TestNonFiniteRangeBounds:
     @pytest.mark.parametrize(
-        "upload_range,download_range,label",
+        "upload_range,download_range,message",
         [
-            ((10000.0, math.inf), (20000.0, math.inf), "upload"),
-            ((10000.0, 20000.0), (20000.0, math.inf), "download"),
-            ((10000.0, math.nan), (20000.0, 30000.0), "upload"),
+            ((10000.0, math.inf), (20000.0, math.inf), "upload_ranges[3] must satisfy 0 < low <= high, both finite, got [10000.0, inf]"),
+            ((10000.0, 20000.0), (20000.0, math.inf), "download_ranges[3] must satisfy 0 < low <= high, both finite, got [20000.0, inf]"),
+            ((10000.0, math.nan), (20000.0, 30000.0), "upload_ranges[3] must satisfy 0 < low <= high, both finite, got [10000.0, nan]"),
         ],
         ids=["infinite-upload", "infinite-download", "nan-upload"],
     )
-    def test_refused_before_drawing(self, upload_range, download_range, label):
-        with pytest.raises(ValueError, match=rf"^bad {label} range \["):
+    def test_refused_before_drawing(self, upload_range, download_range, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_peers(3, upload_range, download_range, seed=1)
-        with pytest.raises(ValueError, match=rf"^bad {label} range \["):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             admitted_vs_budget_curve(
                 3, 10000.0, 1, upload_range=upload_range, download_range=download_range
             )
@@ -341,17 +344,101 @@ class TestDefaultScenarioSizes:
         assert set(spec.upload_ranges) == set(spec.download_ranges) == {5, 10}
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: scenario_from_dict({"cluster_sizes": [7]}),
-        lambda: scenario_from_dict({"cluster_sizes": [7], "upload_ranges": {"7": [10000, 20000]}}),
-        lambda: admitted_vs_budget_curve(7, 10000.0, seed=1),
-        lambda: block_size_profile((5, 7), DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, STREAM, seed=1),
-    ],
-    ids=["scenario", "scenario-upload-only", "curve", "profile"],
-)
-def test_size_without_ranges_has_one_message(build):
-    with pytest.raises(ValueError, match="^no upload/download range given for cluster size 7$"):
-        build()
+GOOD_UPLOAD, GOOD_DOWNLOAD = (10000.0, 20000.0), (20000.0, 30000.0)
+RANGE_RULE = "must satisfy 0 < low <= high, both finite, got"
 
+# One row per pool fault: (size, upload range, download range, message). A
+# range of None is left out of the entry's mapping, and curve falls back to
+# its default ranges, none of which is for size 7.
+POOL_FAULTS = {
+    "size-0": (0, GOOD_UPLOAD, GOOD_DOWNLOAD, "cluster sizes must be >= 1, got 0"),
+    "size-minus-3": (-3, GOOD_UPLOAD, GOOD_DOWNLOAD, "cluster sizes must be >= 1, got -3"),
+    "no-ranges": (7, None, None, "no upload/download range given for cluster size 7"),
+    "upload-only": (7, GOOD_UPLOAD, None, "no upload/download range given for cluster size 7"),
+    "inverted": (5, (20000.0, 10000.0), GOOD_DOWNLOAD, f"upload_ranges[5] {RANGE_RULE} [20000.0, 10000.0]"),
+    "nan": (5, GOOD_UPLOAD, (20000.0, math.nan), f"download_ranges[5] {RANGE_RULE} [20000.0, nan]"),
+    "infinite": (5, (10000.0, math.inf), GOOD_DOWNLOAD, f"upload_ranges[5] {RANGE_RULE} [10000.0, inf]"),
+    "impossible-pair": (
+        5, (50000.0, 60000.0), (20000.0, 30000.0),
+        "impossible constraint: smallest upload 50000.0 exceeds largest download 30000.0",
+    ),
+}
+
+
+def _given(size, upload, download, key=int):
+    """The upload_ranges and download_ranges keyword arguments, each holding only its range given."""
+    return {field: {} if r is None else {key(size): r}
+            for field, r in (("upload_ranges", upload), ("download_ranges", download))}
+
+
+# One column per library entry that draws or stores a pool.
+POOL_ENTRIES = {
+    "scenario_from_dict": lambda size, up, down: scenario_from_dict(
+        {"cluster_sizes": [size], **_given(size, up, down, key=str)}
+    ),
+    "default_scenario": lambda size, up, down: default_scenario(seed=1)._replace(
+        cluster_sizes=(size,), **_given(size, up, down)
+    ),
+    "generate_peers": lambda size, up, down: generate_peers(size, up, down, seed=1),
+    "admitted_vs_budget_curve": lambda size, up, down: admitted_vs_budget_curve(
+        size, 10000.0, seed=1, upload_range=up, download_range=down
+    ),
+    "block_size_profile": lambda size, up, down: block_size_profile(
+        (size,), **_given(size, up, down), stream=STREAM, seed=1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fault,entry",
+    [
+        (fault, entry)
+        for fault, (_, upload, download, _) in POOL_FAULTS.items()
+        for entry in POOL_ENTRIES
+        # generate_peers takes both ranges as arguments, so neither can be missing.
+        if entry != "generate_peers" or None not in (upload, download)
+    ],
+)
+def test_pool_fault_has_one_message(fault, entry):
+    size, upload, download, message = POOL_FAULTS[fault]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        POOL_ENTRIES[entry](size, upload, download)
+
+
+class TestSpecConstruction:
+    SPEC = dict(delay_bound=0.2, livestream_bandwidths=(10000.0,), budgets=(20000.0,), seed=1)
+    IMPOSSIBLE = "^impossible constraint: smallest upload 50000.0 exceeds largest download 30000.0$"
+
+    def test_impossible_pair_refused_when_built(self):
+        with pytest.raises(ValueError, match=self.IMPOSSIBLE):
+            ScenarioSpec((5,), {5: (50000.0, 60000.0)}, {5: (20000.0, 30000.0)}, **self.SPEC)
+
+    def test_replace_refuses_impossible_pair(self):
+        spec = ScenarioSpec((5,), {5: GOOD_UPLOAD}, {5: GOOD_DOWNLOAD}, **self.SPEC)
+        with pytest.raises(ValueError, match=self.IMPOSSIBLE):
+            spec._replace(upload_ranges={5: (50000.0, 60000.0)})
+
+    @pytest.mark.parametrize(
+        "upload_ranges,download_ranges,message",
+        [
+            ({5: GOOD_UPLOAD, 7: GOOD_UPLOAD}, {5: GOOD_DOWNLOAD}, "no upload/download range given for cluster size 7"),
+            ({5: GOOD_UPLOAD}, {5: GOOD_DOWNLOAD, 0: GOOD_DOWNLOAD}, "cluster sizes must be >= 1, got 0"),
+        ],
+        ids=["unpaired", "below-1"],
+    )
+    def test_every_stored_key_follows_the_rule(self, upload_ranges, download_ranges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec((5,), upload_ranges, download_ranges, **self.SPEC)
+
+
+def test_sweep_draws_a_repeated_size_once(monkeypatch):
+    drawn = []
+
+    def counting(size, *args):
+        drawn.append(size)
+        return generate_peers(size, *args)
+
+    monkeypatch.setattr(experiments, "generate_peers", counting)
+    records = run_admission_sweep(default_scenario(cluster_sizes=(5, 5, 10), seed=3))
+    assert drawn == [5, 10]
+    assert records == run_admission_sweep(default_scenario(cluster_sizes=(5, 10), seed=3))
