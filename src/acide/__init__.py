@@ -28,9 +28,7 @@ _EXPORTS = {
     "admitted_upper_bound": "admission",
     "admitted_vs_budget_curve": "experiments",
     "allocated_bandwidth": "core",
-    "baseline_bandwidths": "experiments",
     "block_size_profile": "experiments",
-    "build_schedule": "sim",
     "default_scenario": "experiments",
     "generate_peers": "experiments",
     "join_cluster": "admission",

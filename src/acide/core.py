@@ -51,11 +51,6 @@ def number(value, kind: type = float):
     return kind(value)
 
 
-def close(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    """Equality at the library's working tolerance."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
-
-
 class PeerProfile(NamedTuple):
     """One user's link capacities in bits/second.
 

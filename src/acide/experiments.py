@@ -1,4 +1,4 @@
-"""Seeded experiment harness: scenario sweeps, trend curves, and baselines.
+"""Seeded experiment harness: scenario sweeps, trend curves, and block-size profiles.
 
 Candidate pools are drawn with Python's random.Random (MT19937), so a
 scenario spec plus a seed pins every output byte-for-byte. The bundled
@@ -94,11 +94,12 @@ def pool_ranges(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The (upload, download) draw ranges for a pool of `size`, checked by the one pool rule.
 
-    In this order, ValueError for a size below 1, for a size missing from
-    either mapping, for a range outside 0 < low <= high with finite ends
-    (upload first), and for a pair whose smallest upload exceeds its largest
-    download, which no draw could chain.
+    In this order, ValueError for a size that is not a whole number, for a
+    size below 1, for a size missing from either mapping, for a range outside
+    0 < low <= high with finite ends (upload first), and for a pair whose
+    smallest upload exceeds its largest download, which no draw could chain.
     """
+    size = number(size, int)
     if size < 1:
         raise ValueError(f"cluster sizes must be >= 1, got {size}")
     if size not in upload_ranges or size not in download_ranges:
@@ -208,10 +209,11 @@ def generate_peers(
     range pairs give up after MAX_REDRAWS attempts. Output is sorted
     ascending by upload and deterministic for a given seed. The size and
     ranges first pass the pool rule of pool_ranges, in its order and with its
-    messages: size >= 1, 0 < low <= high with finite ends, smallest upload
-    <= largest download.
+    messages: a whole size >= 1, 0 < low <= high with finite ends, smallest
+    upload <= largest download.
     """
     (u_low, u_high), (d_low, d_high) = pool_ranges(size, {size: upload_range}, {size: download_range})
+    size = int(size)  # whole, as pool_ranges checked
     rng = random.Random(seed)
     for _ in range(MAX_REDRAWS):
         uploads = [rng.uniform(u_low, u_high) for _ in range(size)]
@@ -289,6 +291,7 @@ def admitted_vs_budget_curve(
         upload_range = upload_range or default_upload
         download_range = download_range or default_download
     pool = generate_peers(size, upload_range, download_range, seed)
+    size = len(pool)
     stream = StreamParams(package_size=livestream_bandwidth * delay_bound, delay_bound=delay_bound)
     low = stream.livestream_bandwidth
     uploads = [p.upload for p in pool]
@@ -302,19 +305,6 @@ def admitted_vs_budget_curve(
         grid = [low + (high - low) * i / (size - 1) for i in range(size)]
         grid[0], grid[-1] = low, high
     return [(budget, size - _first_kept(uploads, stream, budget)) for budget in grid]
-
-
-def baseline_bandwidths(n: int, stream: StreamParams) -> tuple[float, float]:
-    """(unicast, multicast) bandwidth baselines for serving n consumers.
-
-    Unicast sends n copies: n * livestream bandwidth. Multicast sends one
-    copy regardless of n, which is also the lower bound any cluster
-    allocation can approach.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rate = stream.livestream_bandwidth
-    return n * rate, rate
 
 
 def block_size_profile(
@@ -350,7 +340,7 @@ def default_scenario(cluster_sizes: Sequence[int] | None = None, seed: int = DEF
 
 
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpec:
-    """Build a ScenarioSpec from parsed JSON, filling gaps from the defaults.
+    """Build a ScenarioSpec from parsed JSON, filling gaps from the defaults (ranges size by size).
 
     A key's value must be a list where its default is one, and otherwise a value
     its conversion accepts: an object of [low, high] pairs, or a number. Any other
@@ -369,8 +359,8 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpe
     numbers = "a list of numbers"
     pairs = "an object of [low, high] pairs"
     sizes = get("cluster_sizes", DEFAULT_CLUSTER_SIZES, "a list of whole numbers", lambda s: number(s, int))
-    upload_ranges = get("upload_ranges", DEFAULT_UPLOAD_RANGES, pairs, _ranges)
-    download_ranges = get("download_ranges", DEFAULT_DOWNLOAD_RANGES, pairs, _ranges)
+    upload_ranges = get("upload_ranges", {}, pairs, lambda r: {**DEFAULT_UPLOAD_RANGES, **_ranges(r)})
+    download_ranges = get("download_ranges", {}, pairs, lambda r: {**DEFAULT_DOWNLOAD_RANGES, **_ranges(r)})
     return ScenarioSpec(
         cluster_sizes=sizes,
         upload_ranges={s: upload_ranges[s] for s in sizes if s in upload_ranges},

@@ -2,12 +2,13 @@
 
 Phase 1 sends block i from the base station to peer i at the planned
 bandwidth; phase 2 circulates the blocks between peers in n-1
-barrier-synchronised steps of a cyclic shift. Completion times are a closed
-form: every peer's last block arrives in the final step, from the next
-position around the ring. The timed transfer events are built only when a
-trace's `events` is read, which writing a trace does. A plan guarantees
-continuous playback only if every peer holds the full package within the
-delay bound.
+barrier-synchronised steps of a cyclic shift: step t sends the block of
+position i (1-based, in upload order) to position ((i - 1 + t) mod n) + 1.
+Completion times are a closed form: every peer's last block arrives in the
+final step, from the next position around the ring. The timed transfer
+events are built only when a trace's `events` is read, which writing a trace
+does. A plan guarantees continuous playback only if every peer holds the
+full package within the delay bound.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class SimulationTrace(NamedTuple):
 
     @property
     def events(self) -> tuple[TransferEvent, ...]:
-        """Every transfer: phase 1 by block, then phase 2 in build_schedule order.
+        """Every transfer: phase 1 by block, then phase 2 by step and sender; n^2 in all.
 
-        Step t sends position i's block to position i + t, so its receivers are the ids
-        rotated by t. Built afresh on each read, a step at a time; n peers give n^2 events.
+        Step t sends position i's block to position ((i - 1 + t) mod n) + 1, so its receivers
+        are the ids rotated by t. Built afresh on each read, a step at a time.
         """
         plan = self.plan
         phase1_ends, phase2_start, durations, step_length = _timing(plan)
@@ -79,20 +80,6 @@ class PlaybackReport(NamedTuple):
     delay_bound: float
     worst_peer: str
     overshoot: float
-
-
-def build_schedule(n: int) -> list[tuple[int, int, int]]:
-    """Phase-2 exchange schedule for n peers as (step, sender, receiver) triples.
-
-    Positions are 1-based ranks in the upload-sorted cluster. At step t,
-    position i sends its block to position ((i - 1 + t) mod n) + 1: a cyclic
-    shift, so every step is a perfect matching with no self-sends, each peer
-    uploads once and downloads once per step, and over the n-1 steps every
-    ordered pair occurs exactly once. Empty for n = 1.
-    """
-    if n < 1:
-        raise ValueError(f"cluster size must be >= 1, got {n}")
-    return [(step, sender, (sender - 1 + step) % n + 1) for step in range(1, n) for sender in range(1, n + 1)]
 
 
 def simulate(plan: AllocationPlan) -> SimulationTrace:

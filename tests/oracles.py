@@ -2,8 +2,9 @@
 
 These recompute expected values straight from definitions: the block-size
 system the closed form solves, exact rational arithmetic, exhaustive or
-linear searches in place of the library's bisection, and an event-by-event
-replay of the distribution in place of the simulation's closed form, a
+linear searches in place of the library's bisection, the phase-2 cyclic
+shift as (step, sender, receiver) triples and an event-by-event replay of
+the distribution in place of the simulation's closed form, a
 += loop in place of the canonical upload sum, and the row-by-row CSV reader
 in place of the CLI's inline one. The admission oracles price each
 candidate set with allocated_bandwidth, the library's one expression for a
@@ -22,6 +23,8 @@ from typing import Sequence
 from acide.admission import AdmissionBudget, AdmissionOutcome, InsufficientBudgetError
 from acide.cli import ParseInputError, _peer
 from acide.core import (
+    ABS_TOL,
+    REL_TOL,
     AllocationPlan,
     PeerProfile,
     StreamParams,
@@ -29,10 +32,15 @@ from acide.core import (
     min_bandwidth,
     sort_peers,
 )
-from acide.sim import BASE_STATION, TransferEvent, build_schedule
+from acide.sim import BASE_STATION, TransferEvent
 
 # 2^N subsets are enumerated; beyond this the oracle refuses.
 MAX_ORACLE_CANDIDATES = 16
+
+
+def close(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
+    """Equality at the library's working tolerance."""
+    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,20 @@ def brute_force_admission(budget: AdmissionBudget) -> AdmissionOutcome:
         efficiency=plan.total_bandwidth / cap,
         rejected=rejected,
     )
+
+
+def build_schedule(n: int) -> list[tuple[int, int, int]]:
+    """Phase-2 exchange schedule for n peers as (step, sender, receiver) triples.
+
+    Positions are 1-based ranks in the upload-sorted cluster. At step t,
+    position i sends its block to position ((i - 1 + t) mod n) + 1: a cyclic
+    shift, so every step is a perfect matching with no self-sends, each peer
+    uploads once and downloads once per step, and over the n-1 steps every
+    ordered pair occurs exactly once. Empty for n = 1.
+    """
+    if n < 1:
+        raise ValueError(f"cluster size must be >= 1, got {n}")
+    return [(step, sender, (sender - 1 + step) % n + 1) for step in range(1, n) for sender in range(1, n + 1)]
 
 
 def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TransferEvent, ...], dict[str, float], float]:

@@ -36,9 +36,10 @@ from acide.experiments import (
     run_admission_sweep,
 )
 from acide.output import RECORD_COLUMNS, write_table
-from acide.sim import build_schedule, simulate
+from acide.sim import simulate
 from oracles import (
     brute_force_admission,
+    build_schedule,
     proportional_sizes,
     system_rows,
     total_bandwidth_closed_form,

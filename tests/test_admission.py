@@ -11,8 +11,8 @@ from acide.admission import (
     admitted_upper_bound,
     join_cluster,
 )
-from acide.core import PeerProfile, StreamParams, close, sort_peers
-from oracles import brute_force_admission
+from acide.core import PeerProfile, StreamParams, sort_peers
+from oracles import brute_force_admission, close
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
 

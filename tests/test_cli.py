@@ -716,6 +716,24 @@ def test_sweep_sizes_use_the_scenario_files_ranges(tmp_path, capsys):
     assert {row.split(",")[0] for row in out.splitlines()[1:]} == {"7"}
 
 
+def test_scenario_ranges_fall_back_to_the_built_in_ones_size_by_size(tmp_path, capsys):
+    # The file gives only size 10's upload range; size 5 keeps both built-in ranges.
+    partial = _scenario(
+        tmp_path, {"cluster_sizes": [5, 10], "upload_ranges": {"10": [10000, 25000]}}, "partial.json"
+    )
+    full = _scenario(tmp_path, {
+        "cluster_sizes": [5, 10],
+        "upload_ranges": {"5": [10000, 20000], "10": [10000, 25000]},
+        "download_ranges": {"5": [20000, 30000], "10": [30000, 50000]},
+    }, "full.json")
+    out = _sweep_stdout(capsys, ["--input", partial, "--seed", "1"])
+    assert out == _sweep_stdout(capsys, ["--input", full, "--seed", "1"])
+    defaults = _sweep_stdout(capsys, ["--sizes", "5", "10", "--seed", "1"])
+    size_5_rows = [row for row in defaults.splitlines() if row.startswith("5,")]
+    assert size_5_rows and set(size_5_rows) < set(out.splitlines())
+    assert out != defaults
+
+
 def test_scenario_size_without_ranges_is_named(tmp_path, capsys):
     assert main(["sweep", "--input", _scenario(tmp_path, {"cluster_sizes": [7]})]) == 2
     captured = capsys.readouterr()

@@ -18,7 +18,6 @@ from acide.core import (
     PeerProfile,
     StreamParams,
     allocated_bandwidth,
-    close,
     min_bandwidth,
     number,
     sort_peers,
@@ -26,6 +25,7 @@ from acide.core import (
 )
 from oracles import (
     alpha_coefficients,
+    close,
     dense_block_sizes_exact,
     proportional_sizes,
     system_rows,

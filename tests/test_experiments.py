@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from acide.core import StreamParams, close
+from acide.core import StreamParams
 from acide import experiments
 from acide.experiments import (
     DEFAULT_BUDGETS,
@@ -16,7 +16,6 @@ from acide.experiments import (
     ExperimentRecord,
     ScenarioSpec,
     admitted_vs_budget_curve,
-    baseline_bandwidths,
     block_size_profile,
     default_scenario,
     generate_peers,
@@ -31,6 +30,7 @@ from acide.output import (
     profile_rows,
     write_table,
 )
+from oracles import close
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
 
@@ -68,6 +68,11 @@ class TestGeneratePeers:
             generate_peers(3, (5.0, 2.0), (2.0, 3.0), seed=1)
         with pytest.raises(ValueError):
             generate_peers(3, (0.0, 2.0), (2.0, 3.0), seed=1)
+
+    def test_whole_float_size_draws_like_the_int(self):
+        ranges = GOOD_UPLOAD, GOOD_DOWNLOAD
+        assert generate_peers(5.0, *ranges, seed=3) == generate_peers(5, *ranges, seed=3)
+        assert admitted_vs_budget_curve(5.0, 10000.0, seed=3) == admitted_vs_budget_curve(5, 10000.0, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -149,25 +154,6 @@ class TestCurve:
         )
         assert [n for _, n in curve] == [1, 1]
         assert all(budget == 16000.0 * 0.2 / 0.2 for budget, _ in curve)
-
-
-class TestBaselines:
-    def test_five_consumers(self):
-        assert baseline_bandwidths(5, STREAM) == (50000.0, 10000.0)
-
-    def test_single_consumer(self):
-        unicast, multicast = baseline_bandwidths(1, STREAM)
-        assert unicast == multicast == 10000.0
-
-    def test_large_cluster(self):
-        fast = StreamParams(package_size=16000.0 * 0.2, delay_bound=0.2)
-        unicast, multicast = baseline_bandwidths(120, fast)
-        assert close(unicast, 1_920_000.0)
-        assert multicast == fast.livestream_bandwidth
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            baseline_bandwidths(0, STREAM)
 
 
 class TestBlockSizeProfile:
@@ -362,6 +348,7 @@ POOL_FAULTS = {
         5, (50000.0, 60000.0), (20000.0, 30000.0),
         "impossible constraint: smallest upload 50000.0 exceeds largest download 30000.0",
     ),
+    "fractional": (5.7, GOOD_UPLOAD, GOOD_DOWNLOAD, "expected a whole number, got 5.7"),
 }
 
 
@@ -395,8 +382,10 @@ POOL_ENTRIES = {
         (fault, entry)
         for fault, (_, upload, download, _) in POOL_FAULTS.items()
         for entry in POOL_ENTRIES
-        # generate_peers takes both ranges as arguments, so neither can be missing.
-        if entry != "generate_peers" or None not in (upload, download)
+        # generate_peers takes both ranges as arguments, so neither can be missing,
+        # and a file's fractional size is a malformed scenario (test_cli covers it).
+        if (entry != "generate_peers" or None not in (upload, download))
+        and (entry != "scenario_from_dict" or fault != "fractional")
     ],
 )
 def test_pool_fault_has_one_message(fault, entry):

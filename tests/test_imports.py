@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,9 +23,9 @@ PUBLIC_NAMES = {
     "ExperimentRecord", "InfeasibleClusterError", "InsufficientBudgetError", "PeerProfile",
     "PlaybackReport", "ScenarioSpec", "SimulationTrace", "StreamParams", "TransferEvent",
     "ValidationReport", "admitted_upper_bound", "admitted_vs_budget_curve",
-    "allocated_bandwidth", "baseline_bandwidths", "block_size_profile", "build_schedule",
-    "default_scenario", "generate_peers", "join_cluster", "min_bandwidth",
-    "playback_check", "run_admission_sweep", "simulate", "sort_peers", "validate_cluster",
+    "allocated_bandwidth", "block_size_profile", "default_scenario", "generate_peers",
+    "join_cluster", "min_bandwidth", "playback_check", "run_admission_sweep", "simulate",
+    "sort_peers", "validate_cluster",
 }
 
 
@@ -50,6 +51,19 @@ def test_every_public_name_resolves(name):
     value = getattr(acide, name)
     assert value.__name__ == name
     assert name in dir(acide)
+
+
+# Every `acide.<name>` or `acide.<module>.<name>` that README.md spells out.
+README_NAMES = sorted(set(re.findall(r"`(acide(?:\.\w+){1,2})", (ROOT / "README.md").read_text(encoding="utf-8"))))
+
+
+@pytest.mark.parametrize("dotted", README_NAMES)
+def test_every_name_the_readme_spells_resolves(dotted):
+    parent, _, name = dotted.rpartition(".")
+    try:
+        importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        assert hasattr(importlib.import_module(parent), name), f"README.md names {dotted}, which does not exist"
 
 
 def test_unknown_name_raises_attribute_error():

@@ -8,16 +8,16 @@ import random
 
 import pytest
 
-from acide.core import PeerProfile, StreamParams, close, min_bandwidth, sort_peers
+from acide.core import PeerProfile, StreamParams, min_bandwidth, sort_peers
 from acide.output import TRACE_COLUMNS, trace_document, write_table
 from acide import sim
 from acide.sim import (
     BASE_STATION,
-    build_schedule,
     playback_check,
     simulate,
     write_trace_json,
 )
+from oracles import build_schedule, close
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
 TRIO = [
