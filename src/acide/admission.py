@@ -7,6 +7,9 @@ here that subset is the top-k uploaders for the largest feasible k: dropping
 the weakest uploader never raises the requirement, because (n-1)*u_min is at
 most sum(u). The requirement is therefore monotone along the upload-sorted
 suffixes, and admission bisects for the longest suffix that fits.
+
+AdmissionBudget also decides who may be a candidate, for the library and
+the CLI alike: a peer that keeps validate_cluster's per-peer rules, CANDIDATE_CODES.
 """
 
 from __future__ import annotations
@@ -16,16 +19,23 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from acide.core import (
+    BANDWIDTH_NOT_POSITIVE_FINITE,
+    DUPLICATE_ID,
+    UPLOAD_OVER_DOWNLOAD,
     AllocationPlan,
+    ClusterRefused,
     InsufficientBudgetError,
     PeerProfile,
     StreamParams,
-    checked_upload_total,
     plan_sorted,
     requirement,
     sort_peers,
     upload_total,
+    validate_cluster,
 )
+
+CANDIDATE_CODES = (BANDWIDTH_NOT_POSITIVE_FINITE, DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)
+
 
 class _BudgetFields(NamedTuple):
     given_allocated_bandwidth: float
@@ -36,9 +46,9 @@ class _BudgetFields(NamedTuple):
 class AdmissionBudget(_BudgetFields):
     """Inputs to an admission decision: the reserved budget, who wants in, the stream.
 
-    The budget must be positive and finite and the candidates a non-empty
-    sequence (stored as a tuple) with distinct ids; copies made with
-    _replace or _make are checked like new values.
+    The candidates, a non-empty sequence stored as a tuple, must break no
+    CANDIDATE_CODES rule (else ClusterRefused), then the budget must be
+    positive and finite; copies from _replace or _make are checked alike.
     """
 
     __slots__ = ()
@@ -47,15 +57,15 @@ class AdmissionBudget(_BudgetFields):
         cls, given_allocated_bandwidth: float, candidates: Iterable[PeerProfile], stream: StreamParams
     ) -> AdmissionBudget:
         candidates = tuple(candidates)
+        if not candidates:
+            raise ValueError("admission requires at least one candidate")
+        if refused := [v for v in validate_cluster(candidates, stream).violations if v.code in CANDIDATE_CODES]:
+            raise ClusterRefused(refused)
         if not (given_allocated_bandwidth > 0 and math.isfinite(given_allocated_bandwidth)):
             raise ValueError(
                 f"given_allocated_bandwidth must be positive and finite, "
                 f"got {given_allocated_bandwidth}"
             )
-        if not candidates:
-            raise ValueError("admission requires at least one candidate")
-        if len({p.id for p in candidates}) != len(candidates):
-            raise ValueError("candidate ids must be unique")
         return super().__new__(cls, given_allocated_bandwidth, candidates, stream)
 
     @classmethod
@@ -96,12 +106,10 @@ def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
     infeasible remainder (no valid allocation) counts as requiring infinite
     bandwidth, so it never fits. Raises InsufficientBudgetError when even a
     single peer does not fit, i.e. the budget is below the livestream
-    bandwidth, and ValueError when an upload is not positive and finite.
+    bandwidth. The uploads need no check: AdmissionBudget refuses bad ones.
     """
     ordered = sort_peers(budget.candidates)
     uploads = [p.upload for p in ordered]
-    # Checked once here, so the bisection's suffix sums need no check.
-    checked_upload_total(ordered, uploads)
     cap = budget.given_allocated_bandwidth
     removed = _first_kept(uploads, budget.stream, cap)
     if removed == len(ordered):

@@ -25,11 +25,9 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from acide.core import (
-    BANDWIDTH_NOT_POSITIVE_FINITE,
     DEFAULT_DELAY_BOUND,
     DEFAULT_SEED,
-    DUPLICATE_ID,
-    UPLOAD_OVER_DOWNLOAD,
+    ClusterRefused,
     InfeasibleClusterError,
     InsufficientBudgetError,
     PeerProfile,
@@ -62,10 +60,6 @@ EXIT_BUDGET = 3
 
 class ParseInputError(Exception):
     """Malformed input file; message names the file (and line where known)."""
-
-
-class ClusterRefused(Exception):
-    """A peer list that breaks cluster assumptions; args[0] holds every violation."""
 
 
 def _fail(code: str, message: str) -> None:
@@ -114,24 +108,14 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
     return PeerProfile(id=str(ident), upload=u, download=d)
 
 
-def _csv_row(where: str, row: list[str]) -> PeerProfile | None:
-    """One CSV row with every check, `where` naming its file and line; None for a blank row."""
-    if not row or (len(row) == 1 and not row[0].strip()):
-        return None
-    if len(row) != 3:
-        raise ParseInputError(f"{where}: expected 3 fields id,u_bps,d_bps, got {len(row)}")
-    return _peer(where, row[0].strip(), row[1], row[2])
-
-
 def load_peers_csv(path: str) -> list[PeerProfile]:
     """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional.
 
-    Only the first record may be the header. Every other record that holds
-    a well-formed peer is read inline; every record the inline test turns
-    down goes through _csv_row, which skips blank rows and gives each error
-    its message, so both routes accept and refuse the same rows. Errors
-    name the physical line where the record ends, which differs from the
-    record number once a quoted field spans lines.
+    Only the first record may be the header. One inline test, _peer's checks
+    spelled out, accepts every peer; a record it turns down is skipped if
+    blank and otherwise refused, with _peer's message when it has 3 fields.
+    Errors name the physical line where the record ends, which differs from
+    the record number once a quoted field spans lines.
     """
     inf = math.inf
     peers = []
@@ -151,9 +135,11 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
                     if ident and 0 < u < inf and 0 < d < inf:
                         peers.append(PeerProfile(ident, u, d))
                         continue
-                peer = _csv_row(f"{path}:{reader.line_num}", row)
-                if peer is not None:
-                    peers.append(peer)
+                where = f"{path}:{reader.line_num}"
+                if len(row) == 3:
+                    _peer(where, row[0].strip(), row[1], row[2])  # raises: the test accepts all _peer accepts
+                elif row and (len(row) > 1 or row[0].strip()):
+                    raise ParseInputError(f"{where}: expected 3 fields id,u_bps,d_bps, got {len(row)}")
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -251,11 +237,10 @@ def _resolve_stream(args: argparse.Namespace, stream_info: dict) -> StreamParams
     return StreamParams(package_size=package, delay_bound=delay_s)
 
 
-def _check_cluster(peers, stream, codes: Sequence[str] | None = None) -> None:
-    """Raise ClusterRefused with every violated cluster assumption (only `codes`, when given)."""
-    found = [v for v in validate_cluster(peers, stream).violations if codes is None or v.code in codes]
-    if found:
-        raise ClusterRefused(found)
+def _check_cluster(peers, stream) -> None:
+    """Raise ClusterRefused with every violated cluster assumption."""
+    if violations := validate_cluster(peers, stream).violations:
+        raise ClusterRefused(violations)
 
 
 def _fmt_bw(x: float) -> str:
@@ -297,10 +282,6 @@ def _cmd_admit(args: argparse.Namespace) -> Result:
 
     peers, stream_info = _load_peer_input(args.input)
     stream = _resolve_stream(args, stream_info)
-    # Candidates only need usable bandwidths, distinct ids and individually
-    # consistent links here; pool-level feasibility is what admission itself
-    # decides.
-    _check_cluster(peers, stream, codes=(BANDWIDTH_NOT_POSITIVE_FINITE, DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD))
     outcome = join_cluster(AdmissionBudget(float(args.budget_bps), tuple(peers), stream))
     lines = [
         f"admitted {len(outcome.admitted)} of {len(peers)} candidates",
@@ -479,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _fail("parse", str(exc))
         return EXIT_INVALID
     except ClusterRefused as exc:
-        for v in exc.args[0]:
+        for v in exc.violations:
             _fail(f"validation:{v.code}", v.message)
         return EXIT_INVALID
     except InsufficientBudgetError as exc:

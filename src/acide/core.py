@@ -75,8 +75,8 @@ class StreamParams(_StreamFields):
     Each package must be fully delivered within one delay-bound window for
     playback to continue without stalling. The ratio package_size/delay_bound
     is the livestream bandwidth: the rate a single consumer would need.
-    Both values must be positive and finite; copies made with _replace or
-    _make are checked like new values.
+    Both values and their ratio must be positive and finite; copies made
+    with _replace or _make are checked like new values.
     """
 
     __slots__ = ()
@@ -87,6 +87,12 @@ class StreamParams(_StreamFields):
             raise ValueError(f"delay_bound must be positive and finite, got {delay_bound}")
         if not (package_size > 0 and math.isfinite(package_size)):
             raise ValueError(f"package_size must be positive and finite, got {package_size}")
+        rate = package_size / delay_bound
+        if not 0 < rate < math.inf:  # finite values whose ratio overflows or underflows
+            raise ValueError(
+                f"livestream bandwidth {package_size} bits / {delay_bound} s "
+                f"must be positive and finite, got {rate} bps"
+            )
         return super().__new__(cls, package_size, delay_bound)
 
     @classmethod
@@ -154,9 +160,9 @@ class InsufficientBudgetError(ValueError):
 class InfeasibleClusterError(ValueError):
     """No allocation can meet the delay bound for this cluster and stream.
 
-    Raised when the mean-upload feasibility condition fails badly enough that
-    the optimal-bandwidth denominator is non-positive. Carries the offending
-    cluster size and upload total so admission loops can report them.
+    Raised when the n-1 exchange steps of phase 2 alone take the whole delay
+    bound, T <= (n-1)*S/sum(u), so no time is left for phase 1. Carries the
+    offending cluster size and upload total so admission loops can report them.
     """
 
     def __init__(self, n: int, sum_upload: float, stream: StreamParams) -> None:
@@ -168,6 +174,14 @@ class InfeasibleClusterError(ValueError):
             f"{stream.livestream_bandwidth:.2f} bps exceeds what the cluster "
             f"can redistribute within the delay bound"
         )
+
+
+class ClusterRefused(ValueError):
+    """A peer list that breaks cluster assumptions: violations, in validate_cluster's order."""
+
+    def __init__(self, violations: Iterable[AssumptionViolation]) -> None:
+        self.violations = tuple(violations)
+        super().__init__("; ".join(f"{v.code}: {v.message}" for v in self.violations))
 
 
 def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> ValidationReport:
@@ -182,8 +196,8 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
       * the livestream bandwidth is strictly below the cluster's download total
       * every peer's upload is at most every peer's download
         (equivalently max upload <= min download)
-      * the livestream bandwidth is at most the mean upload, the condition
-        under which a feasible optimal allocation exists
+      * the livestream bandwidth is at most the mean upload; above it the
+        cluster costs at least as much as unicasting the stream to each peer
     """
     peer_list = list(peers)
     if not peer_list:
@@ -227,7 +241,8 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     if rate > mean_upload:
         report(STREAM_OVER_MEAN_UPLOAD,
                f"livestream bandwidth {rate:.2f} bps exceeds the mean upload "
-               f"{mean_upload:.2f} bps: no feasible allocation exists")
+               f"{mean_upload:.2f} bps: the cluster costs at least as much as "
+               f"unicasting the stream to each of its {len(uploads)} peer(s)")
     return ValidationReport(tuple(violations))
 
 

@@ -11,7 +11,15 @@ from acide.admission import (
     admitted_upper_bound,
     join_cluster,
 )
-from acide.core import PeerProfile, StreamParams, sort_peers
+from acide.core import (
+    DUPLICATE_ID,
+    UPLOAD_OVER_DOWNLOAD,
+    AssumptionViolation,
+    ClusterRefused,
+    PeerProfile,
+    StreamParams,
+    sort_peers,
+)
 from oracles import brute_force_admission, close
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
@@ -43,6 +51,25 @@ class TestAdmissionBudget:
     def test_rejects_empty_candidates(self):
         with pytest.raises(ValueError):
             AdmissionBudget(10000.0, (), STREAM)
+
+    def test_refuses_a_candidate_whose_upload_exceeds_its_download(self):
+        with pytest.raises(ClusterRefused) as err:
+            AdmissionBudget(1e6, (*TRIO, PeerProfile("x", 30000.0, 20000.0)), STREAM)
+        assert err.value.violations == (
+            AssumptionViolation(UPLOAD_OVER_DOWNLOAD, "upload exceeds download for peer(s): x"),
+        )
+
+    def test_candidates_are_checked_before_the_budget(self):
+        # Every violation, in validate_cluster's order; the bad budget is not reached.
+        pool = (*TRIO, PeerProfile("a", 30000.0, 20000.0))
+        with pytest.raises(ClusterRefused) as err:
+            AdmissionBudget(0.0, pool, STREAM)
+        assert [v.code for v in err.value.violations] == [DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD]
+        assert isinstance(err.value, ValueError)
+        assert str(err.value) == (
+            "duplicate-id: peer id(s) given more than once: a; "
+            "upload-over-download: upload exceeds download for peer(s): a"
+        )
 
 
 class TestJoinCluster:
@@ -136,8 +163,8 @@ class TestJoinCluster:
     def test_upload_not_positive_and_finite_raises(self, bad):
         # A generous budget: with the bad peer unpriced, b alone would be admitted.
         pool = (PeerProfile("a", bad, 1e5), peer("b", 5e4, 1e5))
-        with pytest.raises(ValueError, match="peer a has an upload that is not positive and finite"):
-            join_cluster(AdmissionBudget(1e6, pool, STREAM))
+        with pytest.raises(ClusterRefused, match=r"not positive and finite for peer\(s\): a\b"):
+            AdmissionBudget(1e6, pool, STREAM)
 
 
 class TestAdmittedUpperBound:

@@ -301,6 +301,16 @@ class TestAdmit:
         assert captured.err == "error[validation:upload-over-download]: upload exceeds download for peer(s): x\n"
         assert captured.out == ""
 
+    def test_duplicate_id_with_a_zero_budget_names_only_the_id(self, tmp_path, capsys):
+        # The candidates are checked before the budget.
+        path = tmp_path / "dup.csv"
+        path.write_text("id,u_bps,d_bps\na,10000,20000\na,15000,30000\n", encoding="utf-8")
+        code = main(["admit", "--input", str(path), "--budget-bps", "0", "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error[validation:duplicate-id]: peer id(s) given more than once: a\n"
+        assert captured.out == ""
+
     def test_pool_level_conditions_left_to_admission(self, peers_csv, capsys):
         # The pool's mean upload is below the stream rate, which solve rejects;
         # admission still finds the one peer that fits on its own.
@@ -630,6 +640,23 @@ def test_pool_outputs_match_pinned_digests(tmp_path, pool_csv, fmt):
     assert main(["profile", "--sizes", "5", "120", *rate, "--seed", "42", *out("profile")]) == 0
     names = ["solve", "admit", "simulate", "profile_n5", "profile_n120"]
     _assert_pinned(tmp_path, [f"{name}.{fmt}" for name in names])
+
+
+@pytest.mark.parametrize(
+    "package,delay_ms,stream",
+    [
+        ("1e-300", "1e300", "1e-300 bits / 1e+297 s must be positive and finite, got 0.0 bps"),
+        ("1e308", "1e-300", "1e+308 bits / 1.0000000000000001e-303 s must be positive and finite, got inf bps"),
+    ],
+    ids=["underflow", "overflow"],
+)
+@pytest.mark.parametrize("command", [["admit", "--budget-bps", "1"], ["solve"], ["simulate"]])
+def test_stream_rate_that_is_not_positive_and_finite_is_refused(peers_csv, capsys, command, package, delay_ms, stream):
+    code = main([*command, "--input", peers_csv, "--package-bits", package, "--delay-ms", delay_ms])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error[validation]: livestream bandwidth {stream}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("delay_ms", ["0", "-5", "nan"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,23 @@ class TestStreamParams:
         with pytest.raises(ValueError):
             StreamParams(package_size=package, delay_bound=delay)
 
+    @pytest.mark.parametrize(
+        "package,delay,rate", [(1e-300, 1e297, "0.0"), (1e308, 1e-303, "inf")], ids=["underflow", "overflow"]
+    )
+    def test_rejects_a_finite_pair_whose_rate_is_not_positive_and_finite(self, package, delay, rate):
+        text = f"livestream bandwidth {package} bits / {delay} s must be positive and finite, got {rate} bps"
+        message = f"^{re.escape(text)}$"
+        with pytest.raises(ValueError, match=message):
+            StreamParams(package, delay)
+        # Copies are checked like new values.
+        with pytest.raises(ValueError, match=message):
+            STREAM._replace(package_size=package, delay_bound=delay)
+        with pytest.raises(ValueError, match=message):
+            StreamParams._make([package, delay])
+
+    def test_subnormal_rate_is_kept(self):
+        assert StreamParams(1e-300, 1e8).livestream_bandwidth == 1e-308
+
 
 class TestValidateCluster:
     def test_ok_cluster(self):
@@ -82,6 +100,19 @@ class TestValidateCluster:
         report = validate_cluster(peers, fast)
         assert not report.ok
         assert report.codes() == [STREAM_OVER_MEAN_UPLOAD]
+
+    @pytest.mark.parametrize("uploads", [(6000.0, 6000.0), (6000.0,)], ids=["pair", "single"])
+    def test_mean_upload_message_says_what_the_rule_means(self, uploads):
+        # The pair is plannable (60000 bps), but costs more than unicasting
+        # to both peers (20000 bps); a single peer costs exactly the unicast r.
+        peers = [peer(f"p{i}", u, 20000.0) for i, u in enumerate(uploads)]
+        n = len(peers)
+        assert validate_cluster(peers, STREAM).violations[-1].message == (
+            "livestream bandwidth 10000.00 bps exceeds the mean upload 6000.00 bps: the cluster costs "
+            f"at least as much as unicasting the stream to each of its {n} peer(s)"
+        )
+        assert min_bandwidth(peers, STREAM).total_bandwidth >= n * STREAM.livestream_bandwidth
+        assert close(allocated_bandwidth(peers, STREAM), {1: 10000.0, 2: 60000.0}[n])
 
     def test_single_peer_at_mean_upload_boundary(self):
         # rate == mean upload is feasible; only a roomy download keeps the

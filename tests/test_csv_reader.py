@@ -1,9 +1,9 @@
 """The CLI's CSV peer reader against the row-by-row reference reader.
 
 Each corpus file is read by both; they must return equal peer lists, or both
-raise ParseInputError with the same text. Rows that the inline route turns
-down are placed both on line 1, which always takes the checked route, and
-further down, where the inline route sees them first.
+raise ParseInputError with the same text. Each row of interest is placed
+both on line 1, where the reader looks for a header, and further down,
+between well-formed rows.
 """
 
 from __future__ import annotations

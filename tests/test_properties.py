@@ -1,6 +1,6 @@
-"""Property tests: bisected admission, the canonical upload sum, closed-form
-block sizes, the closed-form simulation and the CSV peer reader against
-oracles.
+"""Property tests: bisected admission and its candidate rule, the canonical
+upload sum, closed-form block sizes, the closed-form simulation and the CSV
+peer reader against oracles.
 
 Uploads span 1e-3 to 1e12 bps, pools run from a single peer up, and some
 pools are built from a few repeated values so that uploads tie. Examples are
@@ -19,7 +19,18 @@ from hypothesis import strategies as st
 
 from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
 from acide.cli import ParseInputError, load_peers_csv
-from acide.core import PeerProfile, StreamParams, allocated_bandwidth, min_bandwidth, sort_peers
+from acide.core import (
+    BANDWIDTH_NOT_POSITIVE_FINITE,
+    DUPLICATE_ID,
+    UPLOAD_OVER_DOWNLOAD,
+    ClusterRefused,
+    PeerProfile,
+    StreamParams,
+    allocated_bandwidth,
+    min_bandwidth,
+    sort_peers,
+    validate_cluster,
+)
 from acide.sim import simulate
 from oracles import (
     linear_suffix_scan,
@@ -60,12 +71,8 @@ def boundary_budgets(draw, ordered, stream):
     return draw(st.sampled_from([cost, math.nextafter(cost, 0.0), math.nextafter(cost, math.inf)]))
 
 
-@PROPERTY
-@given(uploads=upload_lists, rate=bandwidths, data=st.data())
-def test_join_cluster_admits_what_a_linear_scan_admits(uploads, rate, data):
-    pool = as_pool(uploads)
+def assert_admits_like_a_linear_scan(pool, stream, data):
     ordered = sort_peers(pool)
-    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
     cap = data.draw(st.one_of(boundary_budgets(ordered, stream), bandwidths))
     removed = linear_suffix_scan(ordered, stream, cap)
     budget = AdmissionBudget(cap, pool, stream)
@@ -76,6 +83,48 @@ def test_join_cluster_admits_what_a_linear_scan_admits(uploads, rate, data):
     outcome = join_cluster(budget)
     assert outcome.rejected == tuple(ordered[:removed])
     assert outcome.admitted == tuple(ordered[removed:])
+
+
+@PROPERTY
+@given(uploads=upload_lists, rate=bandwidths, data=st.data())
+def test_join_cluster_admits_what_a_linear_scan_admits(uploads, rate, data):
+    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
+    assert_admits_like_a_linear_scan(as_pool(uploads), stream, data)
+
+
+# The per-peer rules of validate_cluster, which every admission candidate must keep.
+PER_PEER_CODES = (BANDWIDTH_NOT_POSITIVE_FINITE, DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)
+
+
+@st.composite
+def candidate_pools(draw):
+    """Pools with downloads at or above uploads, into which a few faults may be injected:
+    an id taken from another peer, a download below the upload, or a NaN, infinite,
+    zero or negative bandwidth."""
+    uploads = draw(upload_lists)
+    pool = [PeerProfile(f"p{i:02d}", u, u * draw(st.floats(1.0, 4.0))) for i, u in enumerate(uploads)]
+    for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=3)):
+        fault = draw(st.sampled_from(["id", "under", "upload", "download"]))
+        if fault == "id":
+            pool[i] = pool[i]._replace(id=pool[draw(st.integers(0, len(pool) - 1))].id)
+        elif fault == "under":
+            pool[i] = pool[i]._replace(download=pool[i].upload * draw(st.floats(0.1, 0.99)))
+        else:
+            pool[i] = pool[i]._replace(**{fault: draw(st.sampled_from([math.nan, math.inf, 0.0, -1.0]))})
+    return tuple(pool)
+
+
+@PROPERTY
+@given(pool=candidate_pools(), rate=bandwidths, cap=bandwidths, data=st.data())
+def test_admission_budget_refuses_exactly_the_per_peer_violations(pool, rate, cap, data):
+    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
+    refused = tuple(v for v in validate_cluster(pool, stream).violations if v.code in PER_PEER_CODES)
+    if refused:
+        with pytest.raises(ClusterRefused) as err:
+            AdmissionBudget(cap, pool, stream)
+        assert err.value.violations == refused
+        return
+    assert_admits_like_a_linear_scan(pool, stream, data)
 
 
 @PROPERTY

@@ -108,6 +108,7 @@ def test_admission_budget_replace_and_make_check_the_new_values():
         {"given_allocated_bandwidth": 0.0},
         {"candidates": ()},
         {"candidates": PEERS + PEERS[:1]},
+        {"candidates": (PeerProfile("x", 3e4, 2e4),)},
     ):
         with pytest.raises(ValueError):
             BUDGET._replace(**changes)
