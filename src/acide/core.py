@@ -161,8 +161,8 @@ class InfeasibleClusterError(ValueError):
     """No allocation can meet the delay bound for this cluster and stream.
 
     Raised when the n-1 exchange steps of phase 2 alone take the whole delay
-    bound, T <= (n-1)*S/sum(u), so no time is left for phase 1. Carries the
-    offending cluster size and upload total so admission loops can report them.
+    bound, T <= (n-1)*S/sum(u), so no time is left for phase 1. Carries n and
+    the upload total its message names; admission prices such a cluster as inf.
     """
 
     def __init__(self, n: int, sum_upload: float, stream: StreamParams) -> None:
@@ -302,6 +302,25 @@ def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParam
     return requirement(len(uploads), checked_upload_total(sorted_peers, uploads), params)
 
 
+def check_plan(plan: AllocationPlan) -> None:
+    """Raise ValueError unless the plan has at least one peer, one block size and one rate
+    per peer, and every block size, rate and upload positive and finite: the plan rule that
+    plan_sorted applies to every plan it makes, and sim.simulate to every plan it times."""
+    n = len(plan.peers)
+    if n == 0:
+        raise ValueError("cannot simulate an empty plan")
+    if len(plan.block_sizes) != n or len(plan.peer_bandwidths) != n:
+        raise ValueError(
+            f"plan is inconsistent: {n} peers, {len(plan.block_sizes)} block sizes, "
+            f"{len(plan.peer_bandwidths)} bandwidths"
+        )
+    inf = math.inf
+    for peer, size, rate in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths):
+        # Written as ranges so that NaN fails too, which min() and max() would skip.
+        if not (0 < size < inf and 0 < rate < inf and 0 < peer.upload < inf):
+            raise ValueError(f"block size, rate or upload is not positive and finite for peer {peer.id}")
+
+
 def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> AllocationPlan:
     """The bandwidth-minimal plan for peers already sorted by sort_peers.
 
@@ -312,7 +331,8 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
     transfers finish together. The upload total is the canonical one, so
     phase1_time is the same float that allocated_bandwidth divides by.
 
-    Raises InfeasibleClusterError when no allocation can meet the delay bound.
+    Raises InfeasibleClusterError when no allocation can meet the delay bound,
+    and ValueError for a plan check_plan refuses (an overflow, a 0-bit block).
     """
     if not ordered:
         raise ValueError("min_bandwidth requires at least one peer")
@@ -326,7 +346,7 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
     phase1 = params.delay_bound - phase2
     sizes = [params.package_size * u / sum_upload for u in uploads]
     bandwidths = [s / phase1 for s in sizes]
-    return AllocationPlan(
+    plan = AllocationPlan(
         peers=tuple(ordered),
         block_sizes=tuple(sizes),
         peer_bandwidths=tuple(bandwidths),
@@ -334,13 +354,14 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
         phase1_time=phase1,
         phase2_time=phase2,
     )
+    check_plan(plan)
+    return plan
 
 
 def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> AllocationPlan:
     """Compute the bandwidth-minimal allocation plan for a cluster.
 
     Sorts the peers ascending by upload (sort_peers) and plans them with
-    plan_sorted. Raises InfeasibleClusterError when no allocation can meet
-    the delay bound.
+    plan_sorted, and raises what it raises.
     """
     return plan_sorted(sort_peers(peers), params)

@@ -13,11 +13,10 @@ full package within the delay bound.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from typing import IO, NamedTuple
 
-from acide.core import ABS_TOL, REL_TOL, AllocationPlan, StreamParams
+from acide.core import ABS_TOL, REL_TOL, AllocationPlan, StreamParams, check_plan
 
 BASE_STATION = "base-station"
 
@@ -97,20 +96,8 @@ def simulate(plan: AllocationPlan) -> SimulationTrace:
     its own timing shows up here as a makespan past the delay bound rather
     than as an error.
     """
+    check_plan(plan)
     n = len(plan.peers)
-    if n == 0:
-        raise ValueError("cannot simulate an empty plan")
-    if len(plan.block_sizes) != n or len(plan.peer_bandwidths) != n:
-        raise ValueError(
-            f"plan is inconsistent: {n} peers, {len(plan.block_sizes)} block sizes, "
-            f"{len(plan.peer_bandwidths)} bandwidths"
-        )
-    inf = math.inf
-    for peer, size, rate in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths):
-        # Written as ranges so that NaN fails too: max() would skip it later.
-        if not (0 < size < inf and 0 < rate < inf and 0 < peer.upload < inf):
-            raise ValueError(f"block size, rate or upload is not positive and finite for peer {peer.id}")
-
     phase1_ends, phase2_start, durations, step_length = _timing(plan)
     if n == 1:
         completion = {plan.peers[0].id: phase1_ends[0]}

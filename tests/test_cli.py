@@ -913,3 +913,59 @@ def test_input_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, capsy
         data.decode("utf-8")
     assert main([*argv, str(path)]) == 2
     assert capsys.readouterr().err == f"error[parse]: {path}: {decode_error.value}\n"
+
+
+# Plans that do not divide the package: an upload sum that overflows, S*u
+# that overflows with no sum, and a block that underflows to 0 bits.
+UNPLANNABLE = {
+    "sum-overflow": ("a,1e308,1.5e308\nb,1.2e308,1.6e308\n", "20000"),
+    "single-peer-overflow": ("a,1e308,1.5e308\n", "20000"),
+    "block-underflow": ("a,1e-300,1e301\nb,1e300,1e301\n", "1e6"),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "json-file"])
+@pytest.mark.parametrize("command", ["solve", "admit", "simulate"])
+@pytest.mark.parametrize("case", list(UNPLANNABLE))
+def test_every_command_refuses_a_plan_that_does_not_divide_the_package(tmp_path, capsys, case, command, to_file):
+    peers, budget = UNPLANNABLE[case]
+    path = tmp_path / "peers.csv"
+    path.write_text(peers, encoding="utf-8")
+    out = tmp_path / "x.json"
+    argv = [command, "--input", str(path), "--livestream-bps", "10000"]
+    argv += ["--budget-bps", budget] if command == "admit" else []
+    argv += ["--output", str(out), "--format", "json"] if to_file else []
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error[validation]: block size, rate or upload is not positive and finite for peer a\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_profile_of_an_infeasible_cluster_is_the_infeasible_error(tmp_path, capsys):
+    # solve and simulate refuse such a cluster first, with stream-over-mean-upload,
+    # and admission never plans one, so profile is the one command that gets here.
+    out = tmp_path / "p.csv"
+    code = main(["profile", "--sizes", "5", "--livestream-bps", "100000", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error[infeasible]: no feasible allocation for n=5 peers with total upload 69435.62 bps: "
+        "livestream bandwidth 100000.00 bps exceeds what the cluster can redistribute within the delay bound\n"
+    )
+    assert not (tmp_path / "p_n5.csv").exists()
+
+
+def test_json_stream_rate_solves_like_the_flag(tmp_path, peers_csv, capsys):
+    # PEERS_CSV's three peers, with the stream rate in the file in place of the flag.
+    path = tmp_path / "peers.json"
+    peers = [{"id": i, "u_bps": u, "d_bps": 2 * u} for i, u in [("a", 10000), ("b", 15000), ("c", 20000)]]
+    path.write_text(json.dumps({"peers": peers, "stream": {"livestream_bps": 10000}}), encoding="utf-8")
+    assert main(["solve", "--input", peers_csv, "--livestream-bps", "10000"]) == 0
+    flag = capsys.readouterr()
+    assert main(["solve", "--input", str(path)]) == 0
+    assert capsys.readouterr() == flag
+    assert main(["solve", "--input", str(path), "--package-bits", "3000"]) == 0
+    assert "total allocated bandwidth: 45000.00 bps\n" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """What importing acide and running its commands loads, the package's public
-names, and the names the benchmark's traced run calls."""
+names, the names the benchmark's traced run calls, and what README.md names
+and prints."""
 
 from __future__ import annotations
 
@@ -181,3 +182,14 @@ def test_experiment_commands_load_neither_dataclasses_nor_inspect(tmp_path, comm
     code, loaded = json.loads(result.stdout)
     assert code == 0, result.stderr
     assert loaded == []
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    source = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+    exec(compile(source, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "18000.0",
+        "0.11111111111111112 0.08888888888888889",
+        "True",
+        "['b', 'c'] 0.9333333333333332",
+    ]

@@ -1,15 +1,18 @@
 """Property tests: bisected admission and its candidate rule, the canonical
 upload sum, closed-form block sizes, the closed-form simulation and the CSV
-peer reader against oracles.
+peer reader against oracles, and the plan rule on every plan min_bandwidth
+returns.
 
-Uploads span 1e-3 to 1e12 bps, pools run from a single peer up, and some
-pools are built from a few repeated values so that uploads tie. Examples are
-derandomised so the suite gives the same verdict on every run.
+Uploads span 1e-3 to 1e12 bps (1e-300 to 1e308 for the plan rule), pools
+run from a single peer up, and some pools are built from a few repeated
+values so that uploads tie. Examples are derandomised so the suite gives the
+same verdict on every run.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from fractions import Fraction
 
@@ -27,10 +30,12 @@ from acide.core import (
     PeerProfile,
     StreamParams,
     allocated_bandwidth,
+    check_plan,
     min_bandwidth,
     sort_peers,
     validate_cluster,
 )
+from acide.output import plan_document
 from acide.sim import simulate
 from oracles import (
     linear_suffix_scan,
@@ -215,3 +220,28 @@ def test_simulation_matches_the_event_replay(uploads, rate_share, scale):
     assert trace.completion_times == completion
     assert trace.makespan == makespan
     assert trace.events == events
+
+
+# Log-uniform over the whole positive float range, as far as 10.0 ** e stays finite.
+wide_bandwidths = st.floats(min_value=-300.0, max_value=308.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def wide_pools(draw):
+    """1..12 peers with uploads log-uniform over [1e-300, 1e308] and each download at or above its upload."""
+    uploads = draw(st.lists(wide_bandwidths, min_size=1, max_size=12))
+    downloads = [draw(st.floats(min_value=u, max_value=1.7e308)) for u in uploads]
+    return [PeerProfile(f"p{i:02d}", u, d) for i, (u, d) in enumerate(zip(uploads, downloads))]
+
+
+@PROPERTY
+@given(pool=wide_pools(), rate=wide_bandwidths)
+@example(pool=[PeerProfile("a", 1e308, 1.5e308), PeerProfile("b", 1.2e308, 1.6e308)], rate=10000.0)
+@example(pool=[PeerProfile("a", 1e-300, 1e301), PeerProfile("b", 1e300, 1e301)], rate=10000.0)
+def test_min_bandwidth_returns_only_plans_that_divide_the_package(pool, rate):
+    try:
+        plan = min_bandwidth(pool, StreamParams(package_size=rate * DELAY, delay_bound=DELAY))
+    except ValueError:
+        return
+    check_plan(plan)
+    json.dumps(plan_document(plan), allow_nan=False)
