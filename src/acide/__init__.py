@@ -16,7 +16,6 @@ _EXPORTS = {
     "AllocationPlan": "core",
     "AssumptionViolation": "core",
     "ExperimentRecord": "experiments",
-    "InfeasibleClusterError": "core",
     "InsufficientBudgetError": "core",
     "PeerProfile": "core",
     "PlaybackReport": "sim",

@@ -28,7 +28,6 @@ from acide.core import (
     DEFAULT_DELAY_BOUND,
     DEFAULT_SEED,
     ClusterRefused,
-    InfeasibleClusterError,
     InsufficientBudgetError,
     PeerProfile,
     StreamParams,
@@ -92,11 +91,13 @@ def _delay_s(args: argparse.Namespace, stream_info: dict | None = None) -> float
 def _peer(where: str, ident, upload, download) -> PeerProfile:
     """One row of a peer file, checked the same way for CSV and JSON.
 
-    The id must be present and non-blank, and both bandwidths positive,
-    finite numbers; `where` names the file and row in the error.
+    The id must be a non-blank string, stored stripped, and both bandwidths
+    positive, finite numbers; `where` names the file and row in the error.
     """
-    if ident is None or not str(ident).strip():
+    if ident is None or isinstance(ident, str) and not ident.strip():
         raise ParseInputError(f"{where}: empty peer id")
+    if not isinstance(ident, str):
+        raise ParseInputError(f"{where}: peer id must be a string, got {ident!r}")
     try:
         u, d = number(upload), number(download)
     except (TypeError, ValueError):
@@ -105,7 +106,7 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
         ) from None
     if not (u > 0 and d > 0 and math.isfinite(u) and math.isfinite(d)):
         raise ParseInputError(f"{where}: bandwidths must be positive and finite, got {u}, {d}")
-    return PeerProfile(id=str(ident), upload=u, download=d)
+    return PeerProfile(id=ident.strip(), upload=u, download=d)
 
 
 def load_peers_csv(path: str) -> list[PeerProfile]:
@@ -137,7 +138,7 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
                         continue
                 where = f"{path}:{reader.line_num}"
                 if len(row) == 3:
-                    _peer(where, row[0].strip(), row[1], row[2])  # raises: the test accepts all _peer accepts
+                    _peer(where, *row)  # raises: the test accepts all _peer accepts
                 elif row and (len(row) > 1 or row[0].strip()):
                     raise ParseInputError(f"{where}: expected 3 fields id,u_bps,d_bps, got {len(row)}")
     except OSError as exc:
@@ -197,13 +198,19 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
 
 
 def _stream_section(path: str, section) -> dict:
-    """The stream section of a JSON peer file as {key: float}; null values count as absent."""
+    """The stream section of a JSON peer file as {key: float}; null values count as absent.
+
+    Only the keys _resolve_stream reads are allowed, so that a misspelt key is refused.
+    """
     if section is None:
         return {}
     if not isinstance(section, dict):
         raise ParseInputError(f"{path}: \"stream\" must be an object, got {section!r}")
+    given = {key: value for key, value in section.items() if value is not None}
+    if unknown := sorted(given.keys() - {"package_bits", "delay_ms", "livestream_bps"}):
+        raise ParseInputError(f"{path}: unknown stream key(s): {', '.join(unknown)}")
     try:
-        return {key: number(value) for key, value in section.items() if value is not None}
+        return {key: number(value) for key, value in given.items()}
     except (TypeError, ValueError):
         raise ParseInputError(f"{path}: stream values must be numbers, got {section!r}") from None
 
@@ -419,21 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 
-    curve = sub.add_parser("curve", help="admitted peers vs budget for drawn pools")
-    curve.add_argument("--sizes", type=int, nargs="+", required=True, help="pool sizes")
-    curve.add_argument("--livestream-bps", type=float, required=True)
-    curve.add_argument("--delay-ms", type=float, help="delay bound in milliseconds (default 200)")
-    curve.add_argument("--seed", type=int)
-    _add_io_flags(curve, output_required=True)
-    curve.set_defaults(handler=_cmd_curve)
-
-    profile = sub.add_parser("profile", help="per-peer block size and bandwidth tables")
-    profile.add_argument("--sizes", type=int, nargs="+", required=True, help="cluster sizes")
-    profile.add_argument("--livestream-bps", type=float, required=True)
-    profile.add_argument("--delay-ms", type=float, help="delay bound in milliseconds (default 200)")
-    profile.add_argument("--seed", type=int)
-    _add_io_flags(profile, output_required=True)
-    profile.set_defaults(handler=_cmd_profile)
+    for name, handler, help_text, sizes_help in (
+        ("curve", _cmd_curve, "admitted peers vs budget for drawn pools", "pool sizes"),
+        ("profile", _cmd_profile, "per-peer block size and bandwidth tables", "cluster sizes"),
+    ):
+        tables = sub.add_parser(name, help=help_text)
+        tables.add_argument("--sizes", type=int, nargs="+", required=True, help=sizes_help)
+        tables.add_argument("--livestream-bps", type=float, required=True)
+        tables.add_argument("--delay-ms", type=float, help="delay bound in milliseconds (default 200)")
+        tables.add_argument("--seed", type=int)
+        _add_io_flags(tables, output_required=True)
+        tables.set_defaults(handler=handler)
 
     return parser
 
@@ -466,9 +469,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InsufficientBudgetError as exc:
         _fail("insufficient-budget", str(exc))
         return EXIT_BUDGET
-    except InfeasibleClusterError as exc:
-        _fail("infeasible", str(exc))
-        return EXIT_INVALID
     except ValueError as exc:
         _fail("validation", str(exc))
         return EXIT_INVALID

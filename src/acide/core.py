@@ -157,25 +157,6 @@ class InsufficientBudgetError(ValueError):
         )
 
 
-class InfeasibleClusterError(ValueError):
-    """No allocation can meet the delay bound for this cluster and stream.
-
-    Raised when the n-1 exchange steps of phase 2 alone take the whole delay
-    bound, T <= (n-1)*S/sum(u), so no time is left for phase 1. Carries n and
-    the upload total its message names; admission prices such a cluster as inf.
-    """
-
-    def __init__(self, n: int, sum_upload: float, stream: StreamParams) -> None:
-        self.n = n
-        self.sum_upload = sum_upload
-        super().__init__(
-            f"no feasible allocation for n={n} peers with total upload "
-            f"{sum_upload:.2f} bps: livestream bandwidth "
-            f"{stream.livestream_bandwidth:.2f} bps exceeds what the cluster "
-            f"can redistribute within the delay bound"
-        )
-
-
 class ClusterRefused(ValueError):
     """A peer list that breaks cluster assumptions: violations, in validate_cluster's order."""
 
@@ -331,8 +312,9 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
     transfers finish together. The upload total is the canonical one, so
     phase1_time is the same float that allocated_bandwidth divides by.
 
-    Raises InfeasibleClusterError when no allocation can meet the delay bound,
-    and ValueError for a plan check_plan refuses (an overflow, a 0-bit block).
+    Raises ValueError when no allocation can meet the delay bound, that is when
+    the n-1 exchange steps alone take T <= (n-1)*S/sum_uploads, and for a plan
+    check_plan refuses (an overflow, a 0-bit block).
     """
     if not ordered:
         raise ValueError("min_bandwidth requires at least one peer")
@@ -341,7 +323,11 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
     sum_upload = checked_upload_total(ordered, uploads)
     total = requirement(n, sum_upload, params)
     if math.isinf(total):
-        raise InfeasibleClusterError(n, sum_upload, params)
+        raise ValueError(
+            f"no feasible allocation for n={n} peers with total upload {sum_upload:.2f} bps: "
+            f"livestream bandwidth {params.livestream_bandwidth:.2f} bps exceeds what the "
+            f"cluster can redistribute within the delay bound"
+        )
     phase2 = (n - 1) * params.package_size / sum_upload
     phase1 = params.delay_bound - phase2
     sizes = [params.package_size * u / sum_upload for u in uploads]

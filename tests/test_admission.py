@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acide.admission import (
     AdmissionBudget,
@@ -18,6 +20,7 @@ from acide.core import (
     ClusterRefused,
     PeerProfile,
     StreamParams,
+    allocated_bandwidth,
     sort_peers,
 )
 from oracles import brute_force_admission, close
@@ -30,6 +33,42 @@ def peer(ident, upload, download=None):
 
 
 TRIO = (peer("a", 10000.0, 30000.0), peer("b", 15000.0, 30000.0), peer("c", 20000.0, 40000.0))
+
+
+MONOTONE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# Stream rates as shares of the pool's mean upload, up to where even the whole pool cannot be planned.
+shares = st.floats(0.01, 1.5)
+# Factors from a first budget or rate to a second one close by, so that both can sit near one step.
+step_ups = st.sampled_from([1.0, 1.0 + 2**-52, 1.001]) | st.floats(1.0, 1.05) | st.floats(1.0, 2.0)
+
+
+@st.composite
+def valid_pools(draw):
+    """Pools AdmissionBudget accepts: distinct ids, each upload at most its download."""
+    uploads = draw(st.lists(st.floats(1e3, 1e6), min_size=1, max_size=15))
+    return tuple(PeerProfile(f"p{i:02d}", u, u * draw(st.floats(1.0, 3.0))) for i, u in enumerate(uploads))
+
+
+def stream_at(pool, share):
+    """A 200 ms stream whose rate is `share` of the pool's mean upload."""
+    rate = sum(p.upload for p in pool) / len(pool) * share
+    return StreamParams(package_size=rate * 0.2, delay_bound=0.2)
+
+
+def near_suffix_costs(pool, stream):
+    """Budgets at or near the finite cost of an upload-sorted suffix, where the admitted count steps."""
+    ordered = sort_peers(pool)
+    costs = [cost for r in range(len(ordered)) if math.isfinite(cost := allocated_bandwidth(ordered[r:], stream))]
+    return st.sampled_from(costs).flatmap(lambda cost: st.sampled_from(
+        [cost, math.nextafter(cost, 0.0), math.nextafter(cost, math.inf)]) | st.floats(0.95 * cost, 1.05 * cost))
+
+
+def admitted_count(pool, budget, stream):
+    """How many peers join_cluster admits; a budget below the stream rate admits none."""
+    try:
+        return len(join_cluster(AdmissionBudget(budget, pool, stream)).admitted)
+    except InsufficientBudgetError:
+        return 0
 
 
 def draw_pool(rng, n, u_range=(10000.0, 30000.0), d_range=(30000.0, 50000.0)):
@@ -133,31 +172,21 @@ class TestJoinCluster:
             oracle = brute_force_admission(AdmissionBudget(cost, pool, STREAM))
             assert len(oracle.admitted) == m
 
-    def test_monotone_in_budget(self):
-        rng = random.Random(81)
-        pool = draw_pool(rng, 15)
-        sizes = []
-        for budget in range(10000, 30001, 1000):
-            try:
-                sizes.append(len(join_cluster(AdmissionBudget(float(budget), pool, STREAM)).admitted))
-            except InsufficientBudgetError:
-                sizes.append(0)
-        assert sizes == sorted(sizes)
+    @MONOTONE
+    @given(pool=valid_pools(), share=shares, data=st.data())
+    def test_monotone_in_budget(self, pool, share, data):
+        stream = stream_at(pool, share)
+        first = data.draw(near_suffix_costs(pool, stream))
+        low, high = sorted((first, data.draw(near_suffix_costs(pool, stream) | step_ups.map(first.__mul__))))
+        assert admitted_count(pool, low, stream) <= admitted_count(pool, high, stream)
 
-    def test_monotone_in_livestream_rate(self):
-        rng = random.Random(82)
-        pool = draw_pool(rng, 15)
-        budget = 18000.0
-        previous = None
-        for rate in (10000.0, 12000.0, 14000.0, 16000.0):
-            stream = StreamParams(package_size=rate * 0.2, delay_bound=0.2)
-            try:
-                n = len(join_cluster(AdmissionBudget(budget, pool, stream)).admitted)
-            except InsufficientBudgetError:
-                n = 0
-            if previous is not None:
-                assert n <= previous
-            previous = n
+    @MONOTONE
+    @given(pool=valid_pools(), share=shares, data=st.data())
+    def test_monotone_in_livestream_rate(self, pool, share, data):
+        budget = data.draw(near_suffix_costs(pool, stream_at(pool, share)))
+        first = share * data.draw(st.floats(0.8, 1.25))
+        low, high = sorted((first, data.draw(st.floats(0.8, 1.25).map(share.__mul__) | step_ups.map(first.__mul__))))
+        assert admitted_count(pool, budget, stream_at(pool, low)) >= admitted_count(pool, budget, stream_at(pool, high))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_upload_not_positive_and_finite_raises(self, bad):

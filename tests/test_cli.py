@@ -148,8 +148,11 @@ class TestSolve:
             ("empty.csv", "id,u_bps,d_bps\na,10000,20000\n ,15000,30000\n"),
             ("null.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": null, "u_bps": 15000, "d_bps": 30000}]'),
             ("empty.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": "", "u_bps": 15000, "d_bps": 30000}]'),
+            ("list.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": [1, 2], "u_bps": 15000, "d_bps": 30000}]'),
+            ("true.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": true, "u_bps": 15000, "d_bps": 30000}]'),
+            ("number.json", '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": 7, "u_bps": 15000, "d_bps": 30000}]'),
         ],
-        ids=["csv-empty", "json-null", "json-empty"],
+        ids=["csv-empty", "json-null", "json-empty", "json-list", "json-true", "json-number"],
     )
     def test_missing_peer_id_is_parse_error(self, tmp_path, capsys, name, text):
         path = tmp_path / name
@@ -159,7 +162,29 @@ class TestSolve:
         assert code == 2
         assert "error[parse]" in captured.err
         assert "peer id" in captured.err
+        assert str(path) in captured.err
         assert captured.out == ""
+
+    def test_json_id_that_is_not_a_string_names_the_file_and_peer(self, tmp_path, capsys):
+        path = tmp_path / "ids.json"
+        path.write_text('[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": [1, 2], "u_bps": 15000, "d_bps": 30000}]',
+                        encoding="utf-8")
+        code = main(["solve", "--input", str(path), "--livestream-bps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error[parse]: {path}: peer #2: peer id must be a string, got [1, 2]\n"
+        assert captured.out == ""
+
+    def test_padded_ids_solve_alike_from_csv_and_json(self, tmp_path, capsys):
+        rows = [(" a", 10000, 20000), ("b ", 15000, 30000), (" c ", 20000, 40000)]
+        csv_path, json_path = tmp_path / "padded.csv", tmp_path / "padded.json"
+        csv_path.write_text("id,u_bps,d_bps\n" + "".join(f"{i},{u},{d}\n" for i, u, d in rows), encoding="utf-8")
+        json_path.write_text(json.dumps([{"id": i, "u_bps": u, "d_bps": d} for i, u, d in rows]), encoding="utf-8")
+        assert main(["solve", "--input", str(csv_path), "--livestream-bps", "10000"]) == 0
+        from_csv = capsys.readouterr()
+        assert main(["solve", "--input", str(json_path), "--livestream-bps", "10000"]) == 0
+        assert capsys.readouterr() == from_csv
+        assert [line.split(",")[0] for line in from_csv.out.splitlines()[4:]] == ["a", "b", "c"]
 
     @pytest.mark.parametrize(
         "stream",
@@ -945,14 +970,15 @@ def test_every_command_refuses_a_plan_that_does_not_divide_the_package(tmp_path,
 
 def test_profile_of_an_infeasible_cluster_is_the_infeasible_error(tmp_path, capsys):
     # solve and simulate refuse such a cluster first, with stream-over-mean-upload,
-    # and admission never plans one, so profile is the one command that gets here.
+    # and admission never plans one, so profile is the one command that gets here;
+    # the plan's refusal is a validation error like any other.
     out = tmp_path / "p.csv"
     code = main(["profile", "--sizes", "5", "--livestream-bps", "100000", "--output", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "error[infeasible]: no feasible allocation for n=5 peers with total upload 69435.62 bps: "
+        "error[validation]: no feasible allocation for n=5 peers with total upload 69435.62 bps: "
         "livestream bandwidth 100000.00 bps exceeds what the cluster can redistribute within the delay bound\n"
     )
     assert not (tmp_path / "p_n5.csv").exists()
@@ -969,3 +995,33 @@ def test_json_stream_rate_solves_like_the_flag(tmp_path, peers_csv, capsys):
     assert capsys.readouterr() == flag
     assert main(["solve", "--input", str(path), "--package-bits", "3000"]) == 0
     assert "total allocated bandwidth: 45000.00 bps\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "stream,unknown",
+    [({"delay_msec": 100, "livestream_bps": 10000}, "delay_msec"),
+     ({"zeta": 1, "package_bits": 2000, "alpha": None, "beta": "x"}, "beta, zeta")],
+    ids=["misspelt", "sorted"],
+)
+def test_unknown_json_stream_key_is_parse_error(tmp_path, capsys, stream, unknown):
+    # A null value counts as absent, so alpha is not named.
+    path = tmp_path / "peers.json"
+    peers = [{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": "b", "u_bps": 15000, "d_bps": 30000}]
+    path.write_text(json.dumps({"peers": peers, "stream": stream}), encoding="utf-8")
+    code = main(["solve", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error[parse]: {path}: unknown stream key(s): {unknown}\n"
+    assert captured.out == ""
+
+
+def test_json_null_stream_values_and_other_top_level_keys_are_ignored(tmp_path, peers_csv, capsys):
+    path = tmp_path / "peers.json"
+    peers = [{"id": i, "u_bps": u, "d_bps": 2 * u} for i, u in [("a", 10000), ("b", 15000), ("c", 20000)]]
+    document = {"peers": peers, "stream": {"livestream_bps": 10000, "delay_msec": None, "package_bits": None},
+                "meta": {"note": "kept out of the plan"}}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["solve", "--input", peers_csv, "--livestream-bps", "10000"]) == 0
+    flag = capsys.readouterr()
+    assert main(["solve", "--input", str(path)]) == 0
+    assert capsys.readouterr() == flag

@@ -21,7 +21,7 @@ SRC = ROOT / "src"
 
 PUBLIC_NAMES = {
     "AdmissionBudget", "AdmissionOutcome", "AllocationPlan", "AssumptionViolation",
-    "ExperimentRecord", "InfeasibleClusterError", "InsufficientBudgetError", "PeerProfile",
+    "ExperimentRecord", "InsufficientBudgetError", "PeerProfile",
     "PlaybackReport", "ScenarioSpec", "SimulationTrace", "StreamParams", "TransferEvent",
     "ValidationReport", "admitted_upper_bound", "admitted_vs_budget_curve",
     "allocated_bandwidth", "block_size_profile", "default_scenario", "generate_peers",

@@ -1,7 +1,7 @@
 """Property tests: bisected admission and its candidate rule, the canonical
 upload sum, closed-form block sizes, the closed-form simulation and the CSV
-peer reader against oracles, and the plan rule on every plan min_bandwidth
-returns.
+peer reader against oracles, the plan rule on every plan min_bandwidth
+returns, and a plan for every cluster validate_cluster accepts.
 
 Uploads span 1e-3 to 1e12 bps (1e-300 to 1e308 for the plan rule), pools
 run from a single peer up, and some pools are built from a few repeated
@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
@@ -33,6 +33,7 @@ from acide.core import (
     check_plan,
     min_bandwidth,
     sort_peers,
+    upload_total,
     validate_cluster,
 )
 from acide.output import plan_document
@@ -245,3 +246,17 @@ def test_min_bandwidth_returns_only_plans_that_divide_the_package(pool, rate):
         return
     check_plan(plan)
     json.dumps(plan_document(plan), allow_nan=False)
+
+
+@PROPERTY
+@given(uploads=upload_lists, spread=st.floats(min_value=1.0, max_value=4.0), share=st.floats(min_value=1e-6, max_value=1.0))
+@example(uploads=[5e4, 5e4], spread=1.0, share=1.0)
+def test_min_bandwidth_plans_every_cluster_validate_cluster_accepts(uploads, spread, share):
+    # Uploads up to 1e12 bps keep (n-1)*S and S*u finite. A rate at most the
+    # mean upload leaves phase 1 at least T/n, so no accepted cluster is infeasible.
+    pool = [PeerProfile(f"p{i:02d}", u, max(uploads) * spread) for i, u in enumerate(uploads)]
+    rate = upload_total(uploads) / len(uploads) * share
+    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
+    assume(validate_cluster(pool, stream).ok)
+    plan = min_bandwidth(pool, stream)
+    assert plan.phase1_time > 0
