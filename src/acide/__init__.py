@@ -24,7 +24,6 @@ _EXPORTS = {
     "StreamParams": "core",
     "TransferEvent": "sim",
     "ValidationReport": "core",
-    "admitted_upper_bound": "admission",
     "admitted_vs_budget_curve": "experiments",
     "allocated_bandwidth": "core",
     "block_size_profile": "experiments",

@@ -9,7 +9,9 @@ most sum(u). The requirement is therefore monotone along the upload-sorted
 suffixes, and admission bisects for the longest suffix that fits.
 
 AdmissionBudget also decides who may be a candidate, for the library and
-the CLI alike: a peer that keeps validate_cluster's per-peer rules, CANDIDATE_CODES.
+the CLI alike: a peer that keeps validate_cluster's per-peer rules,
+CANDIDATE_CODES. A candidate's bandwidths need no check of their own here,
+since PeerProfile refuses any that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from acide.core import (
-    BANDWIDTH_NOT_POSITIVE_FINITE,
     DUPLICATE_ID,
     UPLOAD_OVER_DOWNLOAD,
     AllocationPlan,
@@ -27,6 +28,7 @@ from acide.core import (
     InsufficientBudgetError,
     PeerProfile,
     StreamParams,
+    _CheckedRecord,
     plan_sorted,
     requirement,
     sort_peers,
@@ -34,7 +36,7 @@ from acide.core import (
     validate_cluster,
 )
 
-CANDIDATE_CODES = (BANDWIDTH_NOT_POSITIVE_FINITE, DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)
+CANDIDATE_CODES = (DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)
 
 
 class _BudgetFields(NamedTuple):
@@ -43,7 +45,7 @@ class _BudgetFields(NamedTuple):
     stream: StreamParams
 
 
-class AdmissionBudget(_BudgetFields):
+class AdmissionBudget(_CheckedRecord, _BudgetFields):
     """Inputs to an admission decision: the reserved budget, who wants in, the stream.
 
     The candidates, a non-empty sequence stored as a tuple, must break no
@@ -67,11 +69,6 @@ class AdmissionBudget(_BudgetFields):
                 f"got {given_allocated_bandwidth}"
             )
         return super().__new__(cls, given_allocated_bandwidth, candidates, stream)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> AdmissionBudget:
-        # The tuple's own _make, which _replace calls, would skip __new__.
-        return cls(*iterable)
 
 
 class AdmissionOutcome(NamedTuple):
@@ -121,22 +118,3 @@ def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
         efficiency=plan.total_bandwidth / cap,
         rejected=tuple(ordered[:removed]),
     )
-
-
-def admitted_upper_bound(
-    candidates: Sequence[PeerProfile], stream: StreamParams, bw: float
-) -> float:
-    """Real-valued upper bound on how many peers an allocation of bw can serve.
-
-    1 + U/r - U/bw, with U the candidates' upload total and r the livestream
-    bandwidth. Callers floor it for an integer bound. Requires bw >= r.
-    """
-    rate = stream.livestream_bandwidth
-    if bw < rate:
-        raise ValueError(
-            f"bound is only defined for bw >= livestream bandwidth "
-            f"({bw:.2f} < {rate:.2f})"
-        )
-    sum_upload = upload_total(p.upload for p in candidates)
-    return 1.0 + sum_upload / rate - sum_upload / bw
-

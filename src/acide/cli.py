@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -104,21 +103,21 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
         raise ParseInputError(
             f"{where}: u_bps and d_bps must be numbers, got {upload!r}, {download!r}"
         ) from None
-    if not (u > 0 and d > 0 and math.isfinite(u) and math.isfinite(d)):
-        raise ParseInputError(f"{where}: bandwidths must be positive and finite, got {u}, {d}")
-    return PeerProfile(id=ident.strip(), upload=u, download=d)
+    try:
+        return PeerProfile(ident.strip(), u, d)
+    except ValueError:
+        raise ParseInputError(f"{where}: bandwidths must be positive and finite, got {u}, {d}") from None
 
 
 def load_peers_csv(path: str) -> list[PeerProfile]:
     """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional.
 
-    Only the first record may be the header. One inline test, _peer's checks
-    spelled out, accepts every peer; a record it turns down is skipped if
-    blank and otherwise refused, with _peer's message when it has 3 fields.
+    Only the first record may be the header. A record of 3 fields that makes
+    a PeerProfile with a non-blank id is kept; any other is skipped if blank
+    and otherwise refused, with _peer's message when it has 3 fields.
     Errors name the physical line where the record ends, which differs from
     the record number once a quoted field spans lines.
     """
-    inf = math.inf
     peers = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
@@ -128,13 +127,12 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
             for row in rows:
                 try:
                     ident, upload, download = row
-                    u, d = float(upload), float(download)
+                    peer = PeerProfile(ident.strip(), float(upload), float(download))
                 except ValueError:
                     pass
                 else:
-                    ident = ident.strip()
-                    if ident and 0 < u < inf and 0 < d < inf:
-                        peers.append(PeerProfile(ident, u, d))
+                    if peer.id:
+                        peers.append(peer)
                         continue
                 where = f"{path}:{reader.line_num}"
                 if len(row) == 3:
@@ -342,11 +340,15 @@ def _cmd_sweep(args: argparse.Namespace) -> Result:
 
 
 def _per_size(args: argparse.Namespace, columns: output.Columns, tables: Iterable[tuple]) -> Result:
-    """One file per (size, rows) table at --output suffixed _n<size>, each with a `wrote` line."""
+    """One file per (size, rows) table at --output suffixed _n<size>, each with a `wrote` line.
+
+    The files keep --output's extension, or take the format's when it has none.
+    """
     from pathlib import Path
 
     p = Path(args.output)
-    files = [(str(p.with_name(f"{p.stem}_n{size}{p.suffix or '.csv'}")), columns, partial(iter, rows), None)
+    suffix = p.suffix or f".{args.format}"
+    files = [(str(p.with_name(f"{p.stem}_n{size}{suffix}")), columns, partial(iter, rows), None)
              for size, rows in tables]
     return [f"wrote {path}" for path, *_ in files], files
 

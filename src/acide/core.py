@@ -30,7 +30,6 @@ DEFAULT_SEED = 42
 DEFAULT_DELAY_BOUND = 0.2  # seconds
 
 # Violation codes reported by validate_cluster.
-BANDWIDTH_NOT_POSITIVE_FINITE = "bandwidth-not-positive-finite"
 DUPLICATE_ID = "duplicate-id"
 UPLOAD_OVER_DOWNLOAD = "upload-over-download"
 STREAM_OVER_CLUSTER_DOWNLOAD = "stream-over-cluster-download"
@@ -51,17 +50,39 @@ def number(value, kind: type = float):
     return kind(value)
 
 
-class PeerProfile(NamedTuple):
-    """One user's link capacities in bits/second.
+class _CheckedRecord:
+    """Base for a NamedTuple subclass whose __new__ checks its values; list it first in the bases."""
 
-    A well-formed peer uploads no faster than it downloads and has strictly
-    positive capacities. Violations are reported by validate_cluster rather
-    than rejected at construction, so that broken inputs can be diagnosed.
-    """
+    __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        # The tuple's own _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
+
+
+class _PeerFields(NamedTuple):
     id: str
     upload: float
     download: float
+
+
+class PeerProfile(_CheckedRecord, _PeerFields):
+    """One user's link capacities in bits/second.
+
+    Both capacities must be positive and finite, else ValueError naming the
+    peer; copies made with _replace or _make are checked like new values.
+    The cluster rules, an upload above the download among them, are left to
+    validate_cluster, so that a broken input is diagnosed as a whole.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, upload: float, download: float) -> PeerProfile:
+        # Written as ranges so that NaN fails too.
+        if not (0 < upload < math.inf and 0 < download < math.inf):
+            raise ValueError(f"peer {id}: bandwidths must be positive and finite, got {upload}, {download}")
+        return super().__new__(cls, id, upload, download)
 
 
 class _StreamFields(NamedTuple):
@@ -69,7 +90,7 @@ class _StreamFields(NamedTuple):
     delay_bound: float
 
 
-class StreamParams(_StreamFields):
+class StreamParams(_CheckedRecord, _StreamFields):
     """A livestream's package size (bits) and delay bound (seconds).
 
     Each package must be fully delivered within one delay-bound window for
@@ -94,11 +115,6 @@ class StreamParams(_StreamFields):
                 f"must be positive and finite, got {rate} bps"
             )
         return super().__new__(cls, package_size, delay_bound)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[float]) -> StreamParams:
-        # The tuple's own _make, which _replace calls, would skip __new__.
-        return cls(*iterable)
 
     @property
     def livestream_bandwidth(self) -> float:
@@ -169,9 +185,9 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     """Check the cluster assumptions and report every violated condition.
 
     Report-only: never raises for a bad cluster, only for an empty peer list.
+    PeerProfile itself refuses a bandwidth that is not positive and finite.
     Checked conditions, in order:
 
-      * every peer's upload and download are positive and finite
       * no two peers share an id
       * every peer's upload is at most its download
       * the livestream bandwidth is strictly below the cluster's download total
@@ -194,14 +210,6 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     total_upload = upload_total(uploads)
     total_download = upload_total(downloads)
     min_download = min(downloads)
-    # A NaN hides from min, but it makes its sum NaN, which fails < inf.
-    if not (
-        min(uploads) > 0 and min_download > 0 and total_upload < math.inf and total_download < math.inf
-    ):
-        bad = [p.id for p in peer_list if not (0 < p.upload < math.inf and 0 < p.download < math.inf)]
-        if bad:  # else only a sum overflowed
-            report(BANDWIDTH_NOT_POSITIVE_FINITE,
-                   f"upload or download is not positive and finite for peer(s): {', '.join(bad)}")
     ids = [p.id for p in peer_list]
     if len(set(ids)) != len(ids):
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
@@ -243,19 +251,6 @@ def upload_total(uploads: Iterable[float]) -> float:
     return reduce(add, uploads, 0.0)
 
 
-def checked_upload_total(peers: Sequence[PeerProfile], uploads: Sequence[float]) -> float:
-    """upload_total(uploads), after checking that every upload is positive and finite.
-
-    `uploads` are the uploads of `peers`, in order. min and max do not see a
-    NaN reliably, since it compares false both ways, but the sum then is NaN.
-    """
-    total = upload_total(uploads)
-    if not (min(uploads) > 0 and max(uploads) < math.inf and total == total):
-        bad = next(p for p in peers if not 0 < p.upload < math.inf)
-        raise ValueError(f"peer {bad.id} has an upload that is not positive and finite: {bad.upload}")
-    return total
-
-
 def requirement(n: int, sum_upload: float, params: StreamParams) -> float:
     """S / (T - (n-1)*S/sum_upload): the least bandwidth for n peers uploading sum_upload.
 
@@ -274,18 +269,16 @@ def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParam
 
     The closed form of `requirement` over the canonical upload sum. Returns
     math.inf as the infeasibility sentinel; admission loops rely on this
-    instead of an exception. Raises ValueError for an empty cluster and for
-    an upload that is not positive and finite.
+    instead of an exception. Raises ValueError for an empty cluster.
     """
     if not sorted_peers:
         raise ValueError("allocated_bandwidth requires at least one peer")
-    uploads = [p.upload for p in sorted_peers]
-    return requirement(len(uploads), checked_upload_total(sorted_peers, uploads), params)
+    return requirement(len(sorted_peers), upload_total(p.upload for p in sorted_peers), params)
 
 
 def check_plan(plan: AllocationPlan) -> None:
     """Raise ValueError unless the plan has at least one peer, one block size and one rate
-    per peer, and every block size, rate and upload positive and finite: the plan rule that
+    per peer, and every block size and rate positive and finite: the plan rule that
     plan_sorted applies to every plan it makes, and sim.simulate to every plan it times."""
     n = len(plan.peers)
     if n == 0:
@@ -298,8 +291,8 @@ def check_plan(plan: AllocationPlan) -> None:
     inf = math.inf
     for peer, size, rate in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths):
         # Written as ranges so that NaN fails too, which min() and max() would skip.
-        if not (0 < size < inf and 0 < rate < inf and 0 < peer.upload < inf):
-            raise ValueError(f"block size, rate or upload is not positive and finite for peer {peer.id}")
+        if not (0 < size < inf and 0 < rate < inf):
+            raise ValueError(f"block size or rate is not positive and finite for peer {peer.id}")
 
 
 def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> AllocationPlan:
@@ -320,7 +313,7 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
         raise ValueError("min_bandwidth requires at least one peer")
     n = len(ordered)
     uploads = [p.upload for p in ordered]
-    sum_upload = checked_upload_total(ordered, uploads)
+    sum_upload = upload_total(uploads)
     total = requirement(n, sum_upload, params)
     if math.isinf(total):
         raise ValueError(

@@ -22,6 +22,7 @@ from acide.core import (
     DEFAULT_SEED,
     PeerProfile,
     StreamParams,
+    _CheckedRecord,
     allocated_bandwidth,
     min_bandwidth,
     number,
@@ -114,7 +115,7 @@ def pool_ranges(
     return pair
 
 
-class ScenarioSpec(_ScenarioFields):
+class ScenarioSpec(_CheckedRecord, _ScenarioFields):
     """A reproducible sweep: sizes, draw ranges per size, stream values, budgets, seed.
 
     Sizes, range keys and the seed must be whole numbers and are stored as
@@ -164,11 +165,6 @@ class ScenarioSpec(_ScenarioFields):
         for size in (*self.cluster_sizes, *self.upload_ranges, *self.download_ranges):
             pool_ranges(size, self.upload_ranges, self.download_ranges)
         return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> ScenarioSpec:
-        # The tuple's own _make, which _replace calls, would skip __new__.
-        return cls(*iterable)
 
 
 class ExperimentRecord(NamedTuple):

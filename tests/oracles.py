@@ -5,11 +5,12 @@ system the closed form solves, exact rational arithmetic, exhaustive or
 linear searches in place of the library's bisection, the phase-2 cyclic
 shift as (step, sender, receiver) triples and an event-by-event replay of
 the distribution in place of the simulation's closed form, a
-+= loop in place of the canonical upload sum, and the row-by-row CSV reader
-in place of the CLI's inline one. The admission oracles price each
-candidate set with allocated_bandwidth, the library's one expression for a
-cluster's requirement, so a budget that sits exactly on a set's cost is
-judged by the same float on both sides.
++= loop in place of the canonical upload sum, the row-by-row CSV reader
+in place of the CLI's inline one, and the real-valued bound on how many
+peers a bandwidth can serve, which admission must respect. The admission
+oracles price each candidate set with allocated_bandwidth, the library's
+one expression for a cluster's requirement, so a budget that sits exactly
+on a set's cost is judged by the same float on both sides.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from acide.core import (
     allocated_bandwidth,
     min_bandwidth,
     sort_peers,
+    upload_total,
 )
 from acide.sim import BASE_STATION, TransferEvent
 
@@ -61,11 +63,7 @@ def alpha_coefficients(sorted_peers: Sequence[PeerProfile]) -> AlphaCoefficients
         raise ValueError("alpha_coefficients requires at least one peer")
     values = []
     prefix = sorted_peers[0].upload
-    if prefix <= 0:
-        raise ValueError(f"peer {sorted_peers[0].id} has non-positive upload")
     for peer in sorted_peers[1:]:
-        if peer.upload <= 0:
-            raise ValueError(f"peer {peer.id} has non-positive upload")
         prefix += peer.upload
         values.append(prefix / peer.upload)
     return AlphaCoefficients(tuple(values))
@@ -191,6 +189,22 @@ def brute_force_admission(budget: AdmissionBudget) -> AdmissionOutcome:
         efficiency=plan.total_bandwidth / cap,
         rejected=rejected,
     )
+
+
+def admitted_upper_bound(candidates: Sequence[PeerProfile], stream: StreamParams, bw: float) -> float:
+    """Real-valued upper bound on how many peers an allocation of bw can serve.
+
+    1 + U/r - U/bw, with U the candidates' upload total and r the livestream
+    bandwidth. Callers floor it for an integer bound. Requires bw >= r.
+    """
+    rate = stream.livestream_bandwidth
+    if bw < rate:
+        raise ValueError(
+            f"bound is only defined for bw >= livestream bandwidth "
+            f"({bw:.2f} < {rate:.2f})"
+        )
+    sum_upload = upload_total(p.upload for p in candidates)
+    return 1.0 + sum_upload / rate - sum_upload / bw
 
 
 def build_schedule(n: int) -> list[tuple[int, int, int]]:

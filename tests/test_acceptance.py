@@ -16,11 +16,7 @@ from io import StringIO
 
 import pytest
 
-from acide.admission import (
-    AdmissionBudget,
-    admitted_upper_bound,
-    join_cluster,
-)
+from acide.admission import AdmissionBudget, join_cluster
 from acide.core import (
     StreamParams,
     allocated_bandwidth,
@@ -38,6 +34,7 @@ from acide.experiments import (
 from acide.output import RECORD_COLUMNS, write_table
 from acide.sim import simulate
 from oracles import (
+    admitted_upper_bound,
     brute_force_admission,
     build_schedule,
     proportional_sizes,

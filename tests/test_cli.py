@@ -14,7 +14,6 @@ import pytest
 
 from acide import cli
 from acide.cli import main
-from acide.core import PeerProfile
 from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, generate_peers
 
 PEERS_CSV = "id,u_bps,d_bps\na,10000,20000\nb,15000,30000\nc,20000,40000\n"
@@ -585,6 +584,21 @@ class TestCurveAndProfile:
         assert len(rows) == 6
         assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
 
+    @pytest.mark.parametrize("command", ["curve", "profile"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_without_a_suffix_takes_the_format_as_one(self, tmp_path, capsys, command, fmt):
+        # A suffix given with --output is kept as it is, whatever the format.
+        for stem, want in (("out", f"out_n5.{fmt}"), ("out.txt", "out_n5.txt")):
+            argv = [command, "--sizes", "5", "--livestream-bps", "10000", "--seed", "3", "--format", fmt]
+            assert main([*argv, "--output", str(tmp_path / stem)]) == 0
+            assert capsys.readouterr().out == f"wrote {tmp_path / want}\n"
+            text = (tmp_path / want).read_text(encoding="utf-8")
+            if fmt == "json":
+                assert isinstance(json.loads(text), list)
+            else:
+                assert text.splitlines()[0] in ("BW_bps,n", "peer_index,u_bps,s_bits,bw_bps")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"out_n5.{fmt}", "out_n5.txt"])
+
     def test_unknown_size_is_validation_error(self, tmp_path, capsys):
         code = main(
             ["profile", "--sizes", "7", "--livestream-bps", "10000", "--output", str(tmp_path / "p.csv")]
@@ -720,15 +734,34 @@ def test_sweep_size_without_ranges_is_validation_error(tmp_path, capsys, sizes, 
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0])
-def test_admit_refuses_a_bandwidth_that_is_not_positive_and_finite(monkeypatch, capsys, bad):
-    # The file loaders refuse such values, so hand admit the peers directly.
-    peers = [PeerProfile("a", bad, 20000.0), PeerProfile("b", 15000.0, 30000.0)]
-    monkeypatch.setattr(cli, "_load_peer_input", lambda path: (peers, {}))
-    code = main(["admit", "--input", "peers.csv", "--budget-bps", "15000", "--livestream-bps", "10000"])
+def test_admit_refuses_a_bandwidth_that_is_not_positive_and_finite(tmp_path, capsys, bad):
+    path = tmp_path / "peers.csv"
+    path.write_text(f"id,u_bps,d_bps\na,{bad},20000\nb,15000,30000\n", encoding="utf-8")
+    code = main(["admit", "--input", str(path), "--budget-bps", "15000", "--livestream-bps", "10000"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error[validation:bandwidth-not-positive-finite]: ")
-    assert captured.err.endswith("peer(s): a\n")
+    assert captured.err == f"error[parse]: {path}:2: bandwidths must be positive and finite, got {bad}, 20000.0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+@pytest.mark.parametrize("side", ["upload", "download"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_peer_file_refuses_a_bandwidth_that_is_not_positive_and_finite(tmp_path, capsys, fmt, side, bad):
+    # PeerProfile refuses the value; both loaders turn that into a parse error naming the row.
+    upload, download = (bad, 20000.0) if side == "upload" else (10000.0, bad)
+    path = tmp_path / f"peers.{fmt}"
+    if fmt == "csv":
+        path.write_text(f"id,u_bps,d_bps\nb,15000,30000\na,{upload},{download}\n", encoding="utf-8")
+        where = f"{path}:3"
+    else:
+        peers = [{"id": "b", "u_bps": 15000, "d_bps": 30000}, {"id": "a", "u_bps": upload, "d_bps": download}]
+        path.write_text(json.dumps(peers), encoding="utf-8")
+        where = f"{path}: peer #2"
+    code = main(["solve", "--input", str(path), "--livestream-bps", "10000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error[parse]: {where}: bandwidths must be positive and finite, got {upload}, {download}\n"
     assert captured.out == ""
 
 
@@ -963,7 +996,7 @@ def test_every_command_refuses_a_plan_that_does_not_divide_the_package(tmp_path,
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error[validation]: block size, rate or upload is not positive and finite for peer a\n"
+    assert captured.err == "error[validation]: block size or rate is not positive and finite for peer a\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from acide.core import (
-    BANDWIDTH_NOT_POSITIVE_FINITE,
     DUPLICATE_ID,
     STREAM_OVER_CLUSTER_DOWNLOAD,
     STREAM_OVER_MEAN_UPLOAD,
@@ -185,10 +184,6 @@ class TestAlphaCoefficients:
             peers = random_cluster(rng, rng.randint(2, 40), (10000, 90000), (90000, 150000))
             assert all(a >= 1.0 for a in alpha_coefficients(peers).values)
 
-    def test_zero_upload_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_coefficients([PeerProfile("z", 0.0, 10.0)])
-
 
 class TestSolveBlockSizes:
     def test_three_peer_example(self):
@@ -225,11 +220,6 @@ class TestSolveBlockSizes:
             min_bandwidth([], STREAM)
 
 
-# Uploads the library refuses to plan with: NaN compares false with 0, so a
-# check written as `upload <= 0` lets it through.
-BAD_UPLOADS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
-
-
 class TestNumber:
     @pytest.mark.parametrize("value,want", [(5, 5), (5.0, 5), ("5", 5), (-3.0, -3)])
     def test_whole_numbers_are_ints(self, value, want):
@@ -251,14 +241,6 @@ class TestNumber:
 
 
 class TestAllocatedBandwidth:
-    @pytest.mark.parametrize("bad", BAD_UPLOADS)
-    @pytest.mark.parametrize("position", [0, 1])
-    def test_upload_not_positive_and_finite_raises(self, bad, position):
-        peers = [peer("b", 5e4, 1e5)]
-        peers.insert(position, PeerProfile("a", bad, 1e5))
-        with pytest.raises(ValueError, match="peer a has an upload that is not positive and finite"):
-            allocated_bandwidth(peers, STREAM)
-
     def test_three_peer_example(self):
         assert close(allocated_bandwidth(sort_peers(TRIO), STREAM), 18000.0)
 
@@ -325,11 +307,6 @@ class TestMinBandwidth:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             min_bandwidth([], STREAM)
-
-    @pytest.mark.parametrize("bad", BAD_UPLOADS)
-    def test_upload_not_positive_and_finite_raises(self, bad):
-        with pytest.raises(ValueError, match="peer a has an upload that is not positive and finite"):
-            min_bandwidth([PeerProfile("a", bad, 1e5), peer("b", 5e4, 1e5)], STREAM)
 
 
 @pytest.fixture(scope="module")
@@ -421,26 +398,13 @@ class TestStreamParamsNamesTheDelayFirst:
 
 
 class TestValidateClusterBandwidths:
-    BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
-
-    @pytest.mark.parametrize("bad", BAD)
-    @pytest.mark.parametrize("side", ["upload", "download"])
-    def test_bad_bandwidth_reported_first_with_the_peer(self, bad, side):
-        good = peer("b", 50000.0, 100000.0)
-        odd = peer("a", bad, 100000.0) if side == "upload" else peer("a", 50000.0, bad)
-        report = validate_cluster([odd, good, odd._replace(id="c")], StreamParams(2000.0, 0.2))
-        assert not report.ok
-        first = report.violations[0]
-        assert first.code == BANDWIDTH_NOT_POSITIVE_FINITE
-        assert first.message.endswith("peer(s): a, c")
-        assert report.codes().count(BANDWIDTH_NOT_POSITIVE_FINITE) == 1
-
+    # PeerProfile refuses a bandwidth that is not positive and finite, so no rule reports one.
     def test_good_cluster_has_no_bandwidth_violation(self):
-        assert BANDWIDTH_NOT_POSITIVE_FINITE not in validate_cluster(TRIO, STREAM).codes()
+        assert validate_cluster(TRIO, STREAM).ok
 
     def test_overflowing_sum_of_finite_bandwidths_is_not_reported(self):
         huge = [peer(f"p{i}", 1e308, 1.5e308) for i in range(3)]
-        assert BANDWIDTH_NOT_POSITIVE_FINITE not in validate_cluster(huge, STREAM).codes()
+        assert validate_cluster(huge, STREAM).ok
 
 
 def test_library_never_calls_the_builtin_sum():

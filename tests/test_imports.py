@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "AdmissionBudget", "AdmissionOutcome", "AllocationPlan", "AssumptionViolation",
     "ExperimentRecord", "InsufficientBudgetError", "PeerProfile",
     "PlaybackReport", "ScenarioSpec", "SimulationTrace", "StreamParams", "TransferEvent",
-    "ValidationReport", "admitted_upper_bound", "admitted_vs_budget_curve",
+    "ValidationReport", "admitted_vs_budget_curve",
     "allocated_bandwidth", "block_size_profile", "default_scenario", "generate_peers",
     "join_cluster", "min_bandwidth", "playback_check", "run_admission_sweep", "simulate",
     "sort_peers", "validate_cluster",

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+import re
 
 import pytest
 
@@ -88,6 +91,20 @@ def test_positional_and_keyword_construction_agree(cls, fields, values):
     assert cls(*values) == cls(**dict(zip(fields, values)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+@pytest.mark.parametrize("side", ["upload", "download"])
+def test_peer_profile_refuses_a_bandwidth_that_is_not_positive_and_finite(side, bad):
+    good = PEERS[0]
+    upload, download = (bad, good.download) if side == "upload" else (good.upload, bad)
+    message = f"^{re.escape(f'peer a: bandwidths must be positive and finite, got {upload}, {download}')}$"
+    with pytest.raises(ValueError, match=message):
+        PeerProfile("a", upload, download)
+    with pytest.raises(ValueError, match=message):
+        good._replace(**{side: bad})
+    with pytest.raises(ValueError, match=message):
+        PeerProfile._make(["a", upload, download])
+
+
 def test_stream_params_replace_and_make_check_the_new_values():
     stream = StreamParams(2000.0, 0.2)
     assert stream._replace(delay_bound=0.1) == StreamParams(2000.0, 0.1)
@@ -130,6 +147,34 @@ SWEEP_RECORDS = [(ScenarioSpec, SCENARIO_FIELDS, tuple(SPEC)), (ExperimentRecord
 parametrize_sweep_records = pytest.mark.parametrize(
     "cls,fields,values", SWEEP_RECORDS, ids=[cls.__name__ for cls, _, _ in SWEEP_RECORDS]
 )
+
+
+# Each record that checks its values when built: an instance, a good change and a bad one.
+CHECKED_RECORDS = [
+    (PEERS[0], {"upload": 15000.0}, {"download": math.nan}),
+    (STREAM, {"delay_bound": 0.1}, {"package_size": -1.0}),
+    (BUDGET, {"candidates": PEERS[:2]}, {"given_allocated_bandwidth": 0.0}),
+    (SPEC, {"seed": 9}, {"seed": 1.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "record,good,bad", CHECKED_RECORDS, ids=[type(record).__name__ for record, _, _ in CHECKED_RECORDS]
+)
+def test_checked_record_replace_and_make_check_and_copies_keep_the_type(record, good, bad):
+    cls = type(record)
+    changed = record._replace(**good)
+    assert type(changed) is cls
+    assert changed == cls(**{**record._asdict(), **good})
+    assert type(cls._make(record)) is cls
+    assert cls._make(record) == record
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    with pytest.raises(ValueError):
+        cls._make({**record._asdict(), **bad}.values())
+    for duplicate in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(duplicate) is cls
+        assert duplicate == record
 
 
 @parametrize_sweep_records

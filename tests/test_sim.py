@@ -189,15 +189,12 @@ class TestSimulate:
             simulate(plan._replace(peer_bandwidths=(1.0, -5.0, 1.0)))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("field", ["block_sizes", "peer_bandwidths", "upload"])
+    @pytest.mark.parametrize("field", ["block_sizes", "peer_bandwidths"])
     def test_non_finite_plan_value_rejected_naming_the_peer(self, field, value):
         # A NaN used to pass the plan check, and max() then skipped it: the
         # plan was reported continuous although peer b's completion was NaN.
         plan = min_bandwidth(TRIO, STREAM)
-        if field == "upload":
-            bad = plan._replace(peers=(*plan.peers[:2], plan.peers[2]._replace(upload=value)))
-        else:
-            bad = plan._replace(**{field: (*getattr(plan, field)[:2], value)})
+        bad = plan._replace(**{field: (*getattr(plan, field)[:2], value)})
         with pytest.raises(ValueError, match="not positive and finite for peer c$"):
             simulate(bad)
 
