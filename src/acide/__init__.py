@@ -22,7 +22,6 @@ _EXPORTS = {
     "ScenarioSpec": "experiments",
     "SimulationTrace": "sim",
     "StreamParams": "core",
-    "TransferEvent": "sim",
     "ValidationReport": "core",
     "admitted_vs_budget_curve": "experiments",
     "allocated_bandwidth": "core",

@@ -120,7 +120,7 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
     """
     peers = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fp:
             reader = csv.reader(fp)
             first = next(reader, [])
             rows = reader if [c.strip().lower() for c in first[:1]] == ["id"] else chain([first], reader)
@@ -155,7 +155,7 @@ def _read_json(path: str):
     import json
 
     try:
-        with open(path, "r", encoding="utf-8") as fp:
+        with open(path, "r", encoding="utf-8-sig") as fp:
             return json.load(fp)
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc

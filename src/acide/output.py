@@ -1,12 +1,12 @@
 """Every table and document the commands write, in one place.
 
 A table is a column spec, ((name, csv_format_spec), ...), and rows of raw
-values aligned with it; TransferEvent and ExperimentRecord keep their fields
-in the order of TRACE_COLUMNS and RECORD_COLUMNS, so their records are rows.
-CSV renders each value as format(value, spec) through csv.writer, so
-bandwidths get fixed decimals and ids are quoted when they need it; JSON is a
-list of {name: raw value} objects at full precision. Plans, admission
-outcomes and traces are also written as nested JSON documents.
+values aligned with it: a trace's events are plain tuples in TRACE_COLUMNS
+order, and an ExperimentRecord's fields follow RECORD_COLUMNS. CSV renders
+each value as format(value, spec) through csv.writer, so bandwidths get fixed
+decimals and ids are quoted when they need it; JSON is a list of {name: raw
+value} objects at full precision. Plans, admission outcomes and traces are
+also written as nested JSON documents.
 """
 
 from __future__ import annotations

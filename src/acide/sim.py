@@ -21,19 +21,6 @@ from acide.core import ABS_TOL, REL_TOL, AllocationPlan, StreamParams, check_pla
 BASE_STATION = "base-station"
 
 
-class TransferEvent(NamedTuple):
-    """One timed transfer of a block, a TRACE_COLUMNS row; step is 0 for phase 1, 1..n-1 for phase 2."""
-
-    phase: int
-    step: int
-    sender: str
-    receiver: str
-    block_index: int
-    start_time: float
-    end_time: float
-    rate: float
-
-
 def _timing(plan: AllocationPlan) -> tuple[list[float], float, list[float], float]:
     """Phase-1 end times, the phase-2 start, phase-2 durations per block, the step length."""
     phase1_ends = [size / rate for size, rate in zip(plan.block_sizes, plan.peer_bandwidths)]
@@ -47,9 +34,10 @@ class SimulationTrace(NamedTuple):
     makespan: float
 
     @property
-    def events(self) -> tuple[TransferEvent, ...]:
+    def events(self) -> tuple[tuple, ...]:
         """Every transfer: phase 1 by block, then phase 2 by step and sender; n^2 in all.
 
+        Each is a plain tuple in TRACE_COLUMNS order; step is 0 for phase 1, 1..n-1 for phase 2.
         Step t sends position i's block to position ((i - 1 + t) mod n) + 1, so its receivers
         are the ids rotated by t. Built afresh on each read, a step at a time.
         """
@@ -58,11 +46,11 @@ class SimulationTrace(NamedTuple):
         ids = [peer.id for peer in plan.peers]
         uploads = [peer.upload for peer in plan.peers]
         blocks = range(1, len(ids) + 1)
-        events = list(map(TransferEvent, repeat(1), repeat(0), repeat(BASE_STATION), ids, blocks,
+        events = list(zip(repeat(1), repeat(0), repeat(BASE_STATION), ids, blocks,
                           repeat(0.0), phase1_ends, plan.peer_bandwidths))
         for step in range(1, len(ids)):
             start = phase2_start + (step - 1) * step_length
-            events += map(TransferEvent, repeat(2), repeat(step), ids, ids[step:] + ids[:step], blocks,
+            events += zip(repeat(2), repeat(step), ids, ids[step:] + ids[:step], blocks,
                           repeat(start), [start + d for d in durations], uploads)
         return tuple(events)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +35,11 @@ from acide.core import (
     sort_peers,
     upload_total,
 )
-from acide.sim import BASE_STATION, TransferEvent
+from acide.output import TRACE_COLUMNS
+from acide.sim import BASE_STATION
+
+# A trace row with its columns named, for tests that read rows by field; equal to the plain row.
+TraceRow = namedtuple("TraceRow", [name for name, _ in TRACE_COLUMNS])
 
 # 2^N subsets are enumerated; beyond this the oracle refuses.
 MAX_ORACLE_CANDIDATES = 16
@@ -221,7 +226,7 @@ def build_schedule(n: int) -> list[tuple[int, int, int]]:
     return [(step, sender, (sender - 1 + step) % n + 1) for step in range(1, n) for sender in range(1, n + 1)]
 
 
-def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TransferEvent, ...], dict[str, float], float]:
+def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TraceRow, ...], dict[str, float], float]:
     """(events, completion times, makespan) of a plan, replayed event by event.
 
     Builds every phase-1 and phase-2 transfer, then takes each peer's
@@ -229,21 +234,21 @@ def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TransferEvent, ...], 
     Quadratic in the cluster size.
     """
     n = len(plan.peers)
-    events: list[TransferEvent] = []
+    events: list[TraceRow] = []
     for i, (peer, size, rate) in enumerate(zip(plan.peers, plan.block_sizes, plan.peer_bandwidths)):
         events.append(
-            TransferEvent(
+            TraceRow(
                 phase=1,
                 step=0,
                 sender=BASE_STATION,
                 receiver=peer.id,
-                block_index=i + 1,
-                start_time=0.0,
-                end_time=size / rate,
-                rate=rate,
+                block=i + 1,
+                start_s=0.0,
+                end_s=size / rate,
+                rate_bps=rate,
             )
         )
-    phase2_start = max(e.end_time for e in events)
+    phase2_start = max(e.end_s for e in events)
 
     if n > 1:
         durations = [s / p.upload for s, p in zip(plan.block_sizes, plan.peers)]
@@ -251,23 +256,23 @@ def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TransferEvent, ...], 
         for step, sender, receiver in build_schedule(n):
             start = phase2_start + (step - 1) * step_length
             events.append(
-                TransferEvent(
+                TraceRow(
                     phase=2,
                     step=step,
                     sender=plan.peers[sender - 1].id,
                     receiver=plan.peers[receiver - 1].id,
-                    block_index=sender,
-                    start_time=start,
-                    end_time=start + durations[sender - 1],
-                    rate=plan.peers[sender - 1].upload,
+                    block=sender,
+                    start_s=start,
+                    end_s=start + durations[sender - 1],
+                    rate_bps=plan.peers[sender - 1].upload,
                 )
             )
 
     completion: dict[str, float] = {}
     for event in events:
         current = completion.get(event.receiver)
-        if current is None or event.end_time > current:
-            completion[event.receiver] = event.end_time
+        if current is None or event.end_s > current:
+            completion[event.receiver] = event.end_s
     makespan = max(completion.values())
     return tuple(events), completion, makespan
 
@@ -292,7 +297,7 @@ def reference_load_peers_csv(path: str) -> list[PeerProfile]:
     """The CSV peer reader that checks every row with cli._peer."""
     peers = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fp:
             reader = csv.reader(fp)
             for record, row in enumerate(reader, start=1):
                 # Errors name the physical line where the record ends.

@@ -138,10 +138,10 @@ def test_criterion_4_simulation_makespan(corpus_plans):
             trace = simulate(plan)
             assert _rel_err(trace.makespan, STREAM.delay_bound) < REL
             received: dict[str, set[int]] = {p.id: set() for p in plan.peers}
-            for event in trace.events:
-                blocks = received[event.receiver]
-                assert event.block_index not in blocks
-                blocks.add(event.block_index)
+            for _, _, _, receiver, block, *_ in trace.events:
+                blocks = received[receiver]
+                assert block not in blocks
+                blocks.add(block)
             full = set(range(1, n + 1))
             assert all(blocks == full for blocks in received.values())
         for n in range(1, 129):

@@ -359,25 +359,15 @@ class TestSimulate:
         assert len(rows) == 1 + 3 + 6
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_trace_output_builds_each_event_once(self, tmp_path, monkeypatch, fmt):
-        from acide import sim
-
+    def test_trace_output_builds_each_event_once(self, tmp_path, event_reads, fmt):
         n = 40
         pool = generate_peers(n, DEFAULT_UPLOAD_RANGES[n], DEFAULT_DOWNLOAD_RANGES[n], seed=7)
         path = tmp_path / "pool.csv"
         path.write_text("".join(f"{p.id},{p.upload!r},{p.download!r}\n" for p in pool), encoding="utf-8")
-        built = []
-        event = sim.TransferEvent
-
-        def counted(*fields):
-            built.append(fields)
-            return event(*fields)
-
-        monkeypatch.setattr(sim, "TransferEvent", counted)
         out = str(tmp_path / f"trace.{fmt}")
         argv = ["simulate", "--input", str(path), "--livestream-bps", "10000", "--output", out, "--format", fmt]
         assert main(argv) == 0
-        assert len(built) == n * n
+        assert event_reads == [n * n]
 
     def test_json_trace(self, peers_csv, tmp_path):
         out = tmp_path / "trace.json"
@@ -971,6 +961,27 @@ def test_input_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, capsy
         data.decode("utf-8")
     assert main([*argv, str(path)]) == 2
     assert capsys.readouterr().err == f"error[parse]: {path}: {decode_error.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (["solve", "--livestream-bps", "10000", "--input"], "peers.csv", PEERS_CSV),
+        (["solve", "--livestream-bps", "10000", "--input"], "peers.csv", PEERS_CSV.partition("\n")[2]),
+        (["solve", "--livestream-bps", "10000", "--input"], "peers.json",
+         '[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": "b", "u_bps": 15000, "d_bps": 30000}]'),
+        (["sweep", "--input"], "scenario.json", '{"cluster_sizes": [5], "seed": 3}'),
+    ],
+    ids=["csv-header", "csv-no-header", "json", "scenario"],
+)
+def test_input_that_starts_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys, argv, name, text):
+    path = tmp_path / name
+    results = []
+    for data in (text.encode("utf-8"), b"\xef\xbb\xbf" + text.encode("utf-8")):
+        path.write_bytes(data)
+        results.append((main([*argv, str(path)]), *capsys.readouterr()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
 
 
 # Plans that do not divide the package: an upload sum that overflows, S*u

@@ -90,6 +90,13 @@ def test_short_files_match_reference(tmp_path, text):
     assert_same(str(path))
 
 
+@pytest.mark.parametrize("text", ["id,u_bps,d_bps\n" + GOOD, GOOD], ids=["header", "no-header"])
+def test_byte_order_mark_is_skipped(tmp_path, text):
+    path = tmp_path / "peers.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert assert_same(str(path)) == ([PeerProfile("a", 10000.0, 20000.0)], None)
+
+
 def test_missing_file_matches_reference(tmp_path):
     peers, message = assert_same(str(tmp_path / "absent.csv"))
     assert peers is None and "absent.csv" in message

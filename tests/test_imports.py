@@ -22,7 +22,7 @@ SRC = ROOT / "src"
 PUBLIC_NAMES = {
     "AdmissionBudget", "AdmissionOutcome", "AllocationPlan", "AssumptionViolation",
     "ExperimentRecord", "InsufficientBudgetError", "PeerProfile",
-    "PlaybackReport", "ScenarioSpec", "SimulationTrace", "StreamParams", "TransferEvent",
+    "PlaybackReport", "ScenarioSpec", "SimulationTrace", "StreamParams",
     "ValidationReport", "admitted_vs_budget_curve",
     "allocated_bandwidth", "block_size_profile", "default_scenario", "generate_peers",
     "join_cluster", "min_bandwidth", "playback_check", "run_admission_sweep", "simulate",
@@ -65,6 +65,14 @@ def test_every_name_the_readme_spells_resolves(dotted):
         importlib.import_module(dotted)
     except ModuleNotFoundError:
         assert hasattr(importlib.import_module(parent), name), f"README.md names {dotted}, which does not exist"
+
+
+def test_readme_record_list_is_the_public_records():
+    # A record deleted from the package must leave README's list, and a new one join it.
+    listed = re.search(r"All records \(([^)]*)\)", (ROOT / "README.md").read_text(encoding="utf-8")).group(1)
+    public = {name: getattr(acide, name) for name in acide.__all__}
+    records = [name for name, value in public.items() if isinstance(value, type) and issubclass(value, tuple)]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(records)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -20,8 +20,8 @@ from acide.core import (
     validate_cluster,
 )
 from acide.experiments import ExperimentRecord, ScenarioSpec, default_scenario, run_admission_sweep
-from acide.output import RECORD_COLUMNS, TRACE_COLUMNS, table_dicts
-from acide.sim import PlaybackReport, SimulationTrace, TransferEvent, playback_check, simulate
+from acide.output import RECORD_COLUMNS, table_dicts
+from acide.sim import PlaybackReport, SimulationTrace, playback_check, simulate
 
 STREAM = StreamParams(2000.0, 0.2)
 PEERS = (PeerProfile("a", 10000.0, 20000.0), PeerProfile("b", 15000.0, 30000.0), PeerProfile("c", 20000.0, 40000.0))
@@ -42,11 +42,6 @@ RECORDS = [
     (ValidationReport, ("violations",), tuple(validate_cluster(PEERS + PEERS[:1], STREAM))),
     (AdmissionBudget, ("given_allocated_bandwidth", "candidates", "stream"), tuple(BUDGET)),
     (AdmissionOutcome, ("admitted", "plan", "efficiency", "rejected"), tuple(join_cluster(BUDGET))),
-    (
-        TransferEvent,
-        ("phase", "step", "sender", "receiver", "block_index", "start_time", "end_time", "rate"),
-        (2, 1, "a", "b", 1, 0.1, 0.15, 10000.0),
-    ),
     (SimulationTrace, ("plan", "completion_times", "makespan"), tuple(TRACE)),
     (
         PlaybackReport,
@@ -256,27 +251,18 @@ def test_scenario_spec_refuses_a_string_where_a_sequence_belongs(field, value):
         default_scenario()._replace(**{field: value})
 
 
-# Each table column and the record field that fills it.
-TRACE_COLUMN_FIELDS = [
-    ("phase", "phase"), ("step", "step"), ("sender", "sender"), ("receiver", "receiver"),
-    ("block", "block_index"), ("start_s", "start_time"), ("end_s", "end_time"), ("rate_bps", "rate"),
-]
+# Each sweep table column and the ExperimentRecord field that fills it.
 RECORD_COLUMN_FIELDS = [
     ("N", "pool_size"), ("livestream_bps", "livestream_bandwidth"), ("BW_bps", "budget"),
     ("n_admitted", "n_admitted"), ("bw_bps", "allocated_bandwidth"), ("efficiency_pct", "efficiency_pct"),
 ]
 
 
-@pytest.mark.parametrize(
-    "columns,cls,pairs,record",
-    [
-        (TRACE_COLUMNS, TransferEvent, TRACE_COLUMN_FIELDS, TRACE.events[-1]),
-        (RECORD_COLUMNS, ExperimentRecord, RECORD_COLUMN_FIELDS, SWEEP_RECORD),
-    ],
-    ids=["trace", "record"],
-)
-def test_table_columns_line_up_with_record_fields(columns, cls, pairs, record):
-    # The tables are written straight from the records, so column i is field i.
-    assert [(name, field) for (name, _), field in zip(columns, cls._fields)] == pairs
-    assert len(columns) == len(cls._fields)
-    assert table_dicts(columns, [record]) == [{name: getattr(record, field) for name, field in pairs}]
+def test_table_columns_line_up_with_record_fields():
+    # The sweep table is written straight from the records, so column i is field i.
+    columns, fields = RECORD_COLUMNS, ExperimentRecord._fields
+    assert [(name, field) for (name, _), field in zip(columns, fields)] == RECORD_COLUMN_FIELDS
+    assert len(columns) == len(fields)
+    assert table_dicts(columns, [SWEEP_RECORD]) == [
+        {name: getattr(SWEEP_RECORD, field) for name, field in RECORD_COLUMN_FIELDS}
+    ]

@@ -10,14 +10,13 @@ import pytest
 
 from acide.core import PeerProfile, StreamParams, min_bandwidth, sort_peers
 from acide.output import TRACE_COLUMNS, trace_document, write_table
-from acide import sim
 from acide.sim import (
     BASE_STATION,
     playback_check,
     simulate,
     write_trace_json,
 )
-from oracles import build_schedule, close
+from oracles import TraceRow, build_schedule, close
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
 TRIO = [
@@ -25,6 +24,11 @@ TRIO = [
     PeerProfile("b", 15000.0, 30000.0),
     PeerProfile("c", 20000.0, 40000.0),
 ]
+
+
+def rows(trace):
+    """The trace's rows, each with its TRACE_COLUMNS names."""
+    return [TraceRow(*row) for row in trace.events]
 
 
 def random_cluster(rng, n):
@@ -82,17 +86,17 @@ class TestSimulate:
         trace = simulate(plan)
         step_length = 2000.0 / 45000.0
         assert close(trace.makespan, 0.2)
-        phase1 = [e for e in trace.events if e.phase == 1]
+        phase1 = [e for e in rows(trace) if e.phase == 1]
         assert len(phase1) == 3
         for e in phase1:
             assert e.sender == BASE_STATION
-            assert e.start_time == 0.0
-            assert close(e.end_time, plan.phase1_time)
-        phase2 = [e for e in trace.events if e.phase == 2]
+            assert e.start_s == 0.0
+            assert close(e.end_s, plan.phase1_time)
+        phase2 = [e for e in rows(trace) if e.phase == 2]
         assert len(phase2) == 6
         for e in phase2:
-            assert close(e.end_time - e.start_time, step_length)
-            assert e.start_time >= plan.phase1_time * (1 - 1e-12)
+            assert close(e.end_s - e.start_s, step_length)
+            assert e.start_s >= plan.phase1_time * (1 - 1e-12)
 
     def test_single_peer_trace(self):
         plan = min_bandwidth([PeerProfile("solo", 9000.0, 20000.0)], STREAM)
@@ -103,23 +107,22 @@ class TestSimulate:
         assert report.continuous
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40])
-    def test_events_are_transfer_events_with_typed_fields(self, n):
-        # Tuple equality would pass a plain tuple, or 0 where 0.0 belongs.
+    def test_events_are_plain_rows_with_typed_columns(self, n):
+        # Tuple equality would pass a namedtuple, or 0 where 0.0 belongs.
         events = simulate(min_bandwidth(random_cluster(random.Random(n), n), STREAM)).events
         assert len(events) == n * n
         for e in events:
-            assert type(e) is sim.TransferEvent
-            assert [type(v) for v in (e.phase, e.step, e.block_index)] == [int] * 3
-            assert [type(v) for v in (e.sender, e.receiver)] == [str] * 2
-            assert [type(v) for v in (e.start_time, e.end_time, e.rate)] == [float] * 3
+            assert type(e) is tuple
+            assert len(e) == len(TRACE_COLUMNS)
+            assert [type(v) for v in e] == [int, int, str, str, int, float, float, float]
 
     def test_event_duration_consistent_with_rate(self):
         rng = random.Random(404)
         for _ in range(20):
             plan = min_bandwidth(random_cluster(rng, rng.randint(2, 40)), STREAM)
             sizes = {i + 1: s for i, s in enumerate(plan.block_sizes)}
-            for e in simulate(plan).events:
-                assert close(e.end_time - e.start_time, sizes[e.block_index] / e.rate)
+            for e in rows(simulate(plan)):
+                assert close(e.end_s - e.start_s, sizes[e.block] / e.rate_bps)
 
     def test_each_peer_holds_all_blocks(self):
         rng = random.Random(405)
@@ -127,16 +130,16 @@ class TestSimulate:
             n = rng.randint(1, 60)
             plan = min_bandwidth(random_cluster(rng, n), STREAM)
             received: dict[str, set[int]] = {p.id: set() for p in plan.peers}
-            for e in simulate(plan).events:
-                assert e.block_index not in received[e.receiver]
-                received[e.receiver].add(e.block_index)
+            for e in rows(simulate(plan)):
+                assert e.block not in received[e.receiver]
+                received[e.receiver].add(e.block)
             assert all(blocks == set(range(1, n + 1)) for blocks in received.values())
 
     def test_one_upload_one_download_per_step(self):
         plan = min_bandwidth(random_cluster(random.Random(406), 11), STREAM)
         trace = simulate(plan)
         for step in range(1, 11):
-            step_events = [e for e in trace.events if e.phase == 2 and e.step == step]
+            step_events = [e for e in rows(trace) if e.phase == 2 and e.step == step]
             assert sorted(e.sender for e in step_events) == sorted(p.id for p in plan.peers)
             assert sorted(e.receiver for e in step_events) == sorted(p.id for p in plan.peers)
 
@@ -153,10 +156,10 @@ class TestSimulate:
     def test_phase2_never_starts_before_phase1_ends(self):
         plan = min_bandwidth(random_cluster(random.Random(408), 17), STREAM)
         trace = simulate(plan)
-        phase1_end = max(e.end_time for e in trace.events if e.phase == 1)
-        for e in trace.events:
+        phase1_end = max(e.end_s for e in rows(trace) if e.phase == 1)
+        for e in rows(trace):
             if e.phase == 2:
-                assert e.start_time >= phase1_end * (1 - 1e-12)
+                assert e.start_s >= phase1_end * (1 - 1e-12)
 
     def test_inflated_block_blows_the_deadline(self):
         plan = min_bandwidth(TRIO, STREAM)
@@ -170,16 +173,13 @@ class TestSimulate:
         # Block 1 arrives last at the peer two positions around the ring.
         assert report.worst_peer == plan.peers[2].id
 
-    def test_plan_check_builds_no_events(self, monkeypatch):
-        def no_events(*args, **kwargs):
-            raise AssertionError("a TransferEvent was built")
-
-        monkeypatch.setattr(sim, "TransferEvent", no_events)
+    def test_plan_check_builds_no_events(self, event_reads):
         for peers in (TRIO, TRIO[:1], random_cluster(random.Random(409), 40)):
             trace = simulate(min_bandwidth(peers, STREAM))
             assert playback_check(trace, STREAM).continuous
-        with pytest.raises(AssertionError, match="TransferEvent"):
-            trace.events
+        assert event_reads == []
+        assert len(trace.events) == 40 * 40
+        assert event_reads == [40 * 40]
 
     def test_mismatched_plan_rejected(self):
         plan = min_bandwidth(TRIO, STREAM)
