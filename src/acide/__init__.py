@@ -24,7 +24,6 @@ _EXPORTS = {
     "StreamParams": "core",
     "ValidationReport": "core",
     "admitted_vs_budget_curve": "experiments",
-    "allocated_bandwidth": "core",
     "block_size_profile": "experiments",
     "default_scenario": "experiments",
     "generate_peers": "experiments",

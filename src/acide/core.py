@@ -82,7 +82,7 @@ class PeerProfile(_CheckedRecord, _PeerFields):
         # Written as ranges so that NaN fails too.
         if not (0 < upload < math.inf and 0 < download < math.inf):
             raise ValueError(f"peer {id}: bandwidths must be positive and finite, got {upload}, {download}")
-        return super().__new__(cls, id, upload, download)
+        return tuple.__new__(cls, (id, upload, download))
 
 
 class _StreamFields(NamedTuple):
@@ -157,9 +157,6 @@ class ValidationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.violations
 
-    def codes(self) -> list[str]:
-        return [v.code for v in self.violations]
-
 
 class InsufficientBudgetError(ValueError):
     """The budget is below the livestream bandwidth, so not even one peer fits."""
@@ -195,13 +192,16 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
         (equivalently max upload <= min download)
       * the livestream bandwidth is at most the mean upload; above it the
         cluster costs at least as much as unicasting the stream to each peer
+
+    Both totals are summed in ascending order, as plan_sorted sums the
+    uploads, so the verdict is the same in any order of the peers.
     """
     peer_list = list(peers)
     if not peer_list:
         raise ValueError("validate_cluster requires a non-empty peer list")
     rate = params.livestream_bandwidth
-    uploads = [p.upload for p in peer_list]
-    downloads = [p.download for p in peer_list]
+    uploads = sorted(p.upload for p in peer_list)
+    downloads = sorted(p.download for p in peer_list)
     violations: list[AssumptionViolation] = []
 
     def report(code: str, message: str) -> None:
@@ -209,7 +209,6 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
 
     total_upload = upload_total(uploads)
     total_download = upload_total(downloads)
-    min_download = min(downloads)
     ids = [p.id for p in peer_list]
     if len(set(ids)) != len(ids):
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
@@ -221,11 +220,10 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
         report(STREAM_OVER_CLUSTER_DOWNLOAD,
                f"livestream bandwidth {rate:.2f} bps is not below the cluster "
                f"download total {total_download:.2f} bps")
-    max_upload = max(uploads)
-    if max_upload > min_download:
+    if uploads[-1] > downloads[0]:
         report(UPLOAD_OVER_MIN_DOWNLOAD,
-               f"largest upload {max_upload:.2f} bps exceeds smallest download "
-               f"{min_download:.2f} bps, so some peer cannot absorb another's block")
+               f"largest upload {uploads[-1]:.2f} bps exceeds smallest download "
+               f"{downloads[0]:.2f} bps, so some peer cannot absorb another's block")
     mean_upload = total_upload / len(uploads)
     if rate > mean_upload:
         report(STREAM_OVER_MEAN_UPLOAD,
@@ -243,10 +241,10 @@ def sort_peers(peers: Iterable[PeerProfile]) -> list[PeerProfile]:
 def upload_total(uploads: Iterable[float]) -> float:
     """The canonical upload sum: left to right in double precision, as a += loop adds.
 
-    Every requirement and plan is priced with this one expression, so a set
-    of peers costs the same float wherever it is priced. Not sum(), which
-    from Python 3.12 compensates its rounding and would give other floats
-    than earlier interpreters. validate_cluster sums downloads with it too.
+    Every requirement and plan is priced with it over ascending uploads, so
+    a set costs the same float wherever it is priced. Not sum(), which from
+    Python 3.12 compensates its rounding and would give other floats than
+    earlier interpreters. validate_cluster sums sorted downloads with it too.
     """
     return reduce(add, uploads, 0.0)
 
@@ -262,18 +260,6 @@ def requirement(n: int, sum_upload: float, params: StreamParams) -> float:
     if phase1_budget <= 0:
         return math.inf
     return params.package_size / phase1_budget
-
-
-def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParams) -> float:
-    """Minimum total base-station bandwidth for this cluster, or inf if infeasible.
-
-    The closed form of `requirement` over the canonical upload sum. Returns
-    math.inf as the infeasibility sentinel; admission loops rely on this
-    instead of an exception. Raises ValueError for an empty cluster.
-    """
-    if not sorted_peers:
-        raise ValueError("allocated_bandwidth requires at least one peer")
-    return requirement(len(sorted_peers), upload_total(p.upload for p in sorted_peers), params)
 
 
 def check_plan(plan: AllocationPlan) -> None:
@@ -303,7 +289,7 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
     phase 1 gets the rest of the delay bound, and each peer's phase-1
     bandwidth is its block size over the phase-1 time, making all phase-1
     transfers finish together. The upload total is the canonical one, so
-    phase1_time is the same float that allocated_bandwidth divides by.
+    total_bandwidth is the same float requirement gives for this set.
 
     Raises ValueError when no allocation can meet the delay bound, that is when
     the n-1 exchange steps alone take T <= (n-1)*S/sum_uploads, and for a plan

@@ -8,9 +8,10 @@ the distribution in place of the simulation's closed form, a
 += loop in place of the canonical upload sum, the row-by-row CSV reader
 in place of the CLI's inline one, and the real-valued bound on how many
 peers a bandwidth can serve, which admission must respect. The admission
-oracles price each candidate set with allocated_bandwidth, the library's
-one expression for a cluster's requirement, so a budget that sits exactly
-on a set's cost is judged by the same float on both sides.
+oracles price each candidate set with allocated_bandwidth: the library's
+requirement over the canonical upload sum, taken in sort_peers order as
+admission and plan_sorted take it, so a budget that sits exactly on a set's
+cost is judged by the same float on both sides.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from acide.core import (
     AllocationPlan,
     PeerProfile,
     StreamParams,
-    allocated_bandwidth,
     min_bandwidth,
+    requirement,
     sort_peers,
     upload_total,
 )
@@ -141,6 +142,18 @@ def dense_block_sizes_exact(uploads: list[float], package_size: float) -> list[f
             acc -= matrix[i][j] * solution[j]
         solution[i] = acc / matrix[i][i]
     return [float(v) for v in solution]
+
+
+def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParams) -> float:
+    """Minimum total base-station bandwidth for a cluster, or inf if infeasible.
+
+    The peers must come in sort_peers order: the upload sum is taken in the
+    order given, so only that order gives the float min_bandwidth and
+    join_cluster price the set at. Raises ValueError for an empty cluster.
+    """
+    if not sorted_peers:
+        raise ValueError("allocated_bandwidth requires at least one peer")
+    return requirement(len(sorted_peers), upload_total(p.upload for p in sorted_peers), params)
 
 
 def linear_suffix_scan(ordered: Sequence[PeerProfile], stream: StreamParams, cap: float) -> int:

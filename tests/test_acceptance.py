@@ -19,7 +19,6 @@ import pytest
 from acide.admission import AdmissionBudget, join_cluster
 from acide.core import (
     StreamParams,
-    allocated_bandwidth,
     min_bandwidth,
     sort_peers,
 )
@@ -35,6 +34,7 @@ from acide.output import RECORD_COLUMNS, write_table
 from acide.sim import simulate
 from oracles import (
     admitted_upper_bound,
+    allocated_bandwidth,
     brute_force_admission,
     build_schedule,
     proportional_sizes,

@@ -15,10 +15,9 @@ from acide.core import (
     ClusterRefused,
     PeerProfile,
     StreamParams,
-    allocated_bandwidth,
     sort_peers,
 )
-from oracles import admitted_upper_bound, brute_force_admission, close
+from oracles import admitted_upper_bound, allocated_bandwidth, brute_force_admission, close
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
 
@@ -127,8 +126,6 @@ class TestJoinCluster:
         assert err.value.livestream_bandwidth == 10000.0
 
     def test_budget_at_full_cluster_bandwidth_admits_all(self):
-        from acide.core import allocated_bandwidth
-
         full = allocated_bandwidth(sort_peers(TRIO), STREAM)
         outcome = join_cluster(AdmissionBudget(full, TRIO, STREAM))
         assert len(outcome.admitted) == 3
@@ -156,8 +153,6 @@ class TestJoinCluster:
         assert [p.id for p in outcome.admitted] == ["mid", "fast"]
 
     def test_boundary_budget_admits_exactly_that_suffix(self):
-        from acide.core import allocated_bandwidth
-
         pool = draw_pool(random.Random(2718), 12)
         ordered = sort_peers(pool)
         for m in range(1, 13):
@@ -247,8 +242,6 @@ class TestBruteForceAdmission:
             brute_force_admission(AdmissionBudget(9500.0, TRIO, STREAM))
 
     def test_agrees_with_greedy_on_cardinality(self):
-        from acide.core import allocated_bandwidth
-
         rng = random.Random(1117)
         for _ in range(60):
             pool = draw_pool(rng, rng.randint(1, 10))

@@ -1069,3 +1069,18 @@ def test_json_null_stream_values_and_other_top_level_keys_are_ignored(tmp_path, 
     flag = capsys.readouterr()
     assert main(["solve", "--input", str(path)]) == 0
     assert capsys.readouterr() == flag
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_peers_listed_in_either_order_print_the_same_bytes(tmp_path, capsys, command):
+    # The stream rate is the uploads' mean summed ascending; summed descending,
+    # the mean is one ulp lower, and validation once read that as stream-over-mean-upload.
+    rows = ["a,0.1,1\n", "b,0.2,1\n", "c,0.3,1\n"]
+    path = tmp_path / "peers.csv"
+    argv = [command, "--input", str(path), "--package-bits", "0.20000000000000004", "--delay-ms", "1000"]
+    results = []
+    for order in (rows, rows[::-1]):
+        path.write_text("".join(order), encoding="utf-8")
+        results.append((main(argv), *capsys.readouterr()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]

@@ -16,13 +16,13 @@ from acide.core import (
     UPLOAD_OVER_MIN_DOWNLOAD,
     PeerProfile,
     StreamParams,
-    allocated_bandwidth,
     min_bandwidth,
     number,
     sort_peers,
     validate_cluster,
 )
 from oracles import (
+    allocated_bandwidth,
     alpha_coefficients,
     close,
     dense_block_sizes_exact,
@@ -90,14 +90,14 @@ class TestValidateCluster:
         peers = [peer("a", 10000.0, 20000.0), peer("b", 20000.0, 30000.0)]
         report = validate_cluster(peers, STREAM)
         assert report.ok
-        assert report.codes() == []
+        assert [v.code for v in report.violations] == []
 
     def test_mean_upload_violation(self):
         peers = [peer("a", 10000.0, 30000.0), peer("b", 10000.0, 30000.0)]
         fast = StreamParams(package_size=16000.0 * 0.2, delay_bound=0.2)
         report = validate_cluster(peers, fast)
         assert not report.ok
-        assert report.codes() == [STREAM_OVER_MEAN_UPLOAD]
+        assert [v.code for v in report.violations] == [STREAM_OVER_MEAN_UPLOAD]
 
     @pytest.mark.parametrize("uploads", [(6000.0, 6000.0), (6000.0,)], ids=["pair", "single"])
     def test_mean_upload_message_says_what_the_rule_means(self, uploads):
@@ -121,20 +121,20 @@ class TestValidateCluster:
     def test_stream_at_cluster_download_total_is_reported(self):
         # The aggregate-download condition is strict: equality is a violation.
         report = validate_cluster([peer("solo", 10000.0, 10000.0)], STREAM)
-        assert report.codes() == [STREAM_OVER_CLUSTER_DOWNLOAD]
+        assert [v.code for v in report.violations] == [STREAM_OVER_CLUSTER_DOWNLOAD]
 
     def test_upload_over_download_reported_per_condition(self):
         peers = [PeerProfile("bad", 25000.0, 20000.0), peer("ok", 10000.0, 30000.0)]
         report = validate_cluster(peers, STREAM)
-        assert UPLOAD_OVER_DOWNLOAD in report.codes()
-        assert UPLOAD_OVER_MIN_DOWNLOAD in report.codes()
+        assert UPLOAD_OVER_DOWNLOAD in [v.code for v in report.violations]
+        assert UPLOAD_OVER_MIN_DOWNLOAD in [v.code for v in report.violations]
         assert "bad" in [v for v in report.violations if v.code == UPLOAD_OVER_DOWNLOAD][0].message
 
     def test_cross_peer_download_check(self):
         # Each peer consistent on its own, but a's upload exceeds b's download.
         peers = [PeerProfile("a", 25000.0, 40000.0), PeerProfile("b", 10000.0, 20000.0)]
         report = validate_cluster(peers, STREAM)
-        assert report.codes() == [UPLOAD_OVER_MIN_DOWNLOAD]
+        assert [v.code for v in report.violations] == [UPLOAD_OVER_MIN_DOWNLOAD]
 
     def test_empty_list_raises(self):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestValidateCluster:
     def test_duplicate_ids_reported(self):
         peers = [peer("a", 10000.0), peer("a", 15000.0), peer("c", 20000.0), peer("c", 20000.0)]
         report = validate_cluster(peers, STREAM)
-        assert report.codes() == [DUPLICATE_ID]
+        assert [v.code for v in report.violations] == [DUPLICATE_ID]
         assert "a, c" in report.violations[0].message
 
 

@@ -106,14 +106,13 @@ class TestSweep:
             if r.budget < r.livestream_bandwidth:
                 assert r.n_admitted == 0
                 assert r.efficiency_pct == 0.0
-                assert not r.feasible
             else:
-                assert r.feasible
+                assert r.n_admitted > 0
 
     def test_admitted_bounded_by_pool(self, records):
         for r in records:
             assert 0 <= r.n_admitted <= r.pool_size
-            if r.feasible:
+            if r.n_admitted > 0:
                 assert 0.0 < r.efficiency_pct <= 100.0
                 assert r.allocated_bandwidth <= r.budget
 

@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     "ExperimentRecord", "InsufficientBudgetError", "PeerProfile",
     "PlaybackReport", "ScenarioSpec", "SimulationTrace", "StreamParams",
     "ValidationReport", "admitted_vs_budget_curve",
-    "allocated_bandwidth", "block_size_profile", "default_scenario", "generate_peers",
+    "block_size_profile", "default_scenario", "generate_peers",
     "join_cluster", "min_bandwidth", "playback_check", "run_admission_sweep", "simulate",
     "sort_peers", "validate_cluster",
 }

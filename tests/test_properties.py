@@ -1,8 +1,8 @@
 """Property tests: the bandwidths a peer accepts, bisected admission and its
-candidate rule, the canonical upload sum, closed-form block sizes, the
-closed-form simulation and the CSV peer reader against oracles, the plan
-rule on every plan min_bandwidth returns, and a plan for every cluster
-validate_cluster accepts.
+candidate rule, the canonical upload sum, one answer for a pool in any
+order, closed-form block sizes, the closed-form simulation and the CSV peer
+reader against oracles, the plan rule on every plan min_bandwidth returns,
+and a plan for every cluster validate_cluster accepts.
 
 Uploads span 1e-3 to 1e12 bps (1e-300 to 1e308 for the plan rule), pools
 run from a single peer up, and some pools are built from a few repeated
@@ -29,9 +29,9 @@ from acide.core import (
     ClusterRefused,
     PeerProfile,
     StreamParams,
-    allocated_bandwidth,
     check_plan,
     min_bandwidth,
+    requirement,
     sort_peers,
     upload_total,
     validate_cluster,
@@ -39,6 +39,7 @@ from acide.core import (
 from acide.output import plan_document
 from acide.sim import simulate
 from oracles import (
+    allocated_bandwidth,
     linear_suffix_scan,
     loop_allocated_bandwidth,
     reference_load_peers_csv,
@@ -148,7 +149,58 @@ def test_allocated_bandwidth_is_the_loop_sum_bit_for_bit(uploads, rate, data):
     ordered = sort_peers(as_pool(uploads))
     stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
     suffix = ordered[data.draw(st.integers(0, len(ordered) - 1)) :]
-    assert allocated_bandwidth(suffix, stream).hex() == loop_allocated_bandwidth(suffix, stream).hex()
+    priced = requirement(len(suffix), upload_total(p.upload for p in suffix), stream)
+    assert priced.hex() == loop_allocated_bandwidth(suffix, stream).hex()
+
+
+@st.composite
+def pools_with_rates(draw):
+    """A candidate pool and a stream rate, often exactly its mean upload or its download
+    total as summed in the pool's own order, which a sum in another order may cross."""
+    pool = draw(candidate_pools())
+    sums = [upload_total(p.upload for p in pool) / len(pool), upload_total(p.download for p in pool)]
+    return pool, draw(st.sampled_from(sums) | bandwidths)
+
+
+def exact(value):
+    """value with every float spelled by float.hex, so that equal means equal bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return value
+
+
+def answers(pool, stream, cap):
+    """The plan min_bandwidth makes, the validate_cluster codes and the join_cluster outcome,
+    or each refusal: by its codes for ClusterRefused, whose message lists peers in input order."""
+    try:
+        plan = exact(min_bandwidth(pool, stream))
+    except ValueError as exc:
+        plan = str(exc)
+    codes = [v.code for v in validate_cluster(pool, stream).violations]
+    try:
+        outcome = exact(join_cluster(AdmissionBudget(cap, pool, stream)))
+    except ClusterRefused as exc:
+        outcome = [v.code for v in exc.violations]
+    except ValueError as exc:
+        outcome = str(exc)
+    return plan, codes, outcome
+
+
+@PROPERTY
+@given(case=pools_with_rates(), order=st.permutations(range(12)), cap_share=st.floats(1.0, 4.0))
+@example(
+    # Summed descending, these uploads' mean is one ulp below the stream rate.
+    case=((PeerProfile("a", 0.1, 1.0), PeerProfile("b", 0.2, 1.0), PeerProfile("c", 0.3, 1.0)), 0.20000000000000004),
+    order=list(range(11, -1, -1)),
+    cap_share=1.0,
+)
+def test_a_pool_gets_one_answer_in_any_order(case, order, cap_share):
+    pool, rate = case
+    stream = StreamParams(package_size=rate, delay_bound=1.0)
+    permuted = [pool[i] for i in order if i < len(pool)]
+    assert answers(permuted, stream, rate * cap_share) == answers(pool, stream, rate * cap_share)
 
 
 def mostly(common, rare):

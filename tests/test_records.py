@@ -201,8 +201,6 @@ def test_experiment_record_equal_and_hashable():
     copy = ExperimentRecord(*SWEEP_RECORD)
     assert copy == SWEEP_RECORD
     assert hash(copy) == hash(SWEEP_RECORD)
-    assert copy.feasible is (copy.n_admitted > 0)
-    assert not copy._replace(n_admitted=0).feasible
 
 
 def test_scenario_spec_converts_its_values():
