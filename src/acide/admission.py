@@ -29,7 +29,7 @@ from acide.core import (
     PeerProfile,
     StreamParams,
     _CheckedRecord,
-    plan_sorted,
+    min_bandwidth,
     requirement,
     sort_peers,
     upload_total,
@@ -84,8 +84,8 @@ def _first_kept(uploads: Sequence[float], stream: StreamParams, budget: float) -
     """Index of the first peer kept: the smallest r whose suffix uploads[r:] fits `budget`.
 
     `uploads` are the positive, finite uploads of an upload-sorted pool. A
-    suffix fits when its requirement (its allocated_bandwidth, priced from the
-    same canonical upload sum) is at most `budget`. Suffix costs fall as r
+    suffix fits when its requirement over its upload_total, the total that
+    min_bandwidth plans it at, is at most `budget`. Suffix costs fall as r
     grows, so a bisection over O(log N) suffixes finds the same r as a scan.
     Returns len(uploads) when no suffix fits.
     """
@@ -111,7 +111,7 @@ def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
     removed = _first_kept(uploads, budget.stream, cap)
     if removed == len(ordered):
         raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
-    plan = plan_sorted(ordered[removed:], budget.stream)
+    plan = min_bandwidth(ordered[removed:], budget.stream)
     return AdmissionOutcome(
         admitted=plan.peers,
         plan=plan,

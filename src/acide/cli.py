@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from acide.core import (
     DEFAULT_DELAY_BOUND,
     DEFAULT_SEED,
+    AllocationPlan,
     ClusterRefused,
     InsufficientBudgetError,
     PeerProfile,
@@ -242,10 +243,13 @@ def _resolve_stream(args: argparse.Namespace, stream_info: dict) -> StreamParams
     return StreamParams(package_size=package, delay_bound=delay_s)
 
 
-def _check_cluster(peers, stream) -> None:
-    """Raise ClusterRefused with every violated cluster assumption."""
+def _planned(args: argparse.Namespace) -> tuple[AllocationPlan, StreamParams]:
+    """The input's plan from min_bandwidth and its stream; ClusterRefused names every broken cluster rule."""
+    peers, stream_info = _load_peer_input(args.input)
+    stream = _resolve_stream(args, stream_info)
     if violations := validate_cluster(peers, stream).violations:
         raise ClusterRefused(violations)
+    return min_bandwidth(peers, stream), stream
 
 
 def _fmt_bw(x: float) -> str:
@@ -266,10 +270,7 @@ def _with_output(args: argparse.Namespace, lines: list[str], table: Callable[...
 
 
 def _cmd_solve(args: argparse.Namespace) -> Result:
-    peers, stream_info = _load_peer_input(args.input)
-    stream = _resolve_stream(args, stream_info)
-    _check_cluster(peers, stream)
-    plan = min_bandwidth(peers, stream)
+    plan, _ = _planned(args)
     lines = [
         f"peers: {len(plan.peers)}",
         f"phase 1: {plan.phase1_time:.6f} s   phase 2: {plan.phase2_time:.6f} s",
@@ -304,10 +305,7 @@ def _cmd_admit(args: argparse.Namespace) -> Result:
 def _cmd_simulate(args: argparse.Namespace) -> Result:
     from acide.sim import playback_check, simulate
 
-    peers, stream_info = _load_peer_input(args.input)
-    stream = _resolve_stream(args, stream_info)
-    _check_cluster(peers, stream)
-    plan = min_bandwidth(peers, stream)
+    plan, stream = _planned(args)
     trace = simulate(plan)
     report = playback_check(trace, stream)
     lines = [

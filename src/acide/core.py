@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from functools import reduce
 from operator import add, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -48,6 +48,13 @@ def number(value, kind: type = float):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected a whole number, got {value!r}")
     return kind(value)
+
+
+def _repeated_ids(ids: list[str]) -> str | None:
+    """The duplicate-id message, naming the repeated ids in sorted order; None when all differ."""
+    if len(set(ids)) == len(ids):
+        return None
+    return f"peer id(s) given more than once: {', '.join(sorted(i for i, k in Counter(ids).items() if k > 1))}"
 
 
 class _CheckedRecord:
@@ -121,7 +128,16 @@ class StreamParams(_CheckedRecord, _StreamFields):
         return self.package_size / self.delay_bound
 
 
-class AllocationPlan(NamedTuple):
+class _PlanFields(NamedTuple):
+    peers: tuple[PeerProfile, ...]
+    block_sizes: tuple[float, ...]
+    peer_bandwidths: tuple[float, ...]
+    total_bandwidth: float
+    phase1_time: float
+    phase2_time: float
+
+
+class AllocationPlan(_CheckedRecord, _PlanFields):
     """A solved allocation: who gets which block at what rate.
 
     Peers are sorted ascending by upload; block_sizes and peer_bandwidths are
@@ -133,14 +149,35 @@ class AllocationPlan(NamedTuple):
       block_sizes[i] / peer_bandwidths[i] == phase1_time  for every i
       phase1_time + phase2_time == delay_bound
       total_bandwidth >= livestream bandwidth, equality iff n == 1
+
+    Every plan, a copy made with _replace or _make included, has at least one
+    peer, one block size and one rate per peer, every size and rate positive
+    and finite, and no two peers sharing an id, else ValueError.
     """
 
-    peers: tuple[PeerProfile, ...]
-    block_sizes: tuple[float, ...]
-    peer_bandwidths: tuple[float, ...]
-    total_bandwidth: float
-    phase1_time: float
-    phase2_time: float
+    __slots__ = ()
+
+    def __new__(
+        cls, peers: tuple[PeerProfile, ...], block_sizes: tuple[float, ...], peer_bandwidths: tuple[float, ...],
+        total_bandwidth: float, phase1_time: float, phase2_time: float,
+    ) -> AllocationPlan:
+        n = len(peers)
+        if n == 0:
+            raise ValueError("an allocation plan needs at least one peer")
+        if len(block_sizes) != n or len(peer_bandwidths) != n:
+            raise ValueError(
+                f"plan is inconsistent: {n} peers, {len(block_sizes)} block sizes, "
+                f"{len(peer_bandwidths)} bandwidths"
+            )
+        inf = math.inf
+        for peer, size, rate in zip(peers, block_sizes, peer_bandwidths):
+            # Written as ranges so that NaN fails too, which min() and max() would skip.
+            if not (0 < size < inf and 0 < rate < inf):
+                raise ValueError(f"block size or rate is not positive and finite for peer {peer.id}")
+        # sim.simulate keys completion times by id, so a repeated id would hide a peer.
+        if repeated := _repeated_ids([peer.id for peer in peers]):
+            raise ValueError(repeated)
+        return super().__new__(cls, peers, block_sizes, peer_bandwidths, total_bandwidth, phase1_time, phase2_time)
 
 
 class AssumptionViolation(NamedTuple):
@@ -193,7 +230,7 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
       * the livestream bandwidth is at most the mean upload; above it the
         cluster costs at least as much as unicasting the stream to each peer
 
-    Both totals are summed in ascending order, as plan_sorted sums the
+    Both totals are summed in ascending order, as min_bandwidth sums the
     uploads, so the verdict is the same in any order of the peers.
     """
     peer_list = list(peers)
@@ -209,10 +246,8 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
 
     total_upload = upload_total(uploads)
     total_download = upload_total(downloads)
-    ids = [p.id for p in peer_list]
-    if len(set(ids)) != len(ids):
-        repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
-        report(DUPLICATE_ID, f"peer id(s) given more than once: {', '.join(repeated)}")
+    if repeated := _repeated_ids([p.id for p in peer_list]):
+        report(DUPLICATE_ID, repeated)
     bad = [p.id for p in peer_list if p.upload > p.download]
     if bad:
         report(UPLOAD_OVER_DOWNLOAD, f"upload exceeds download for peer(s): {', '.join(bad)}")
@@ -262,27 +297,8 @@ def requirement(n: int, sum_upload: float, params: StreamParams) -> float:
     return params.package_size / phase1_budget
 
 
-def check_plan(plan: AllocationPlan) -> None:
-    """Raise ValueError unless the plan has at least one peer, one block size and one rate
-    per peer, and every block size and rate positive and finite: the plan rule that
-    plan_sorted applies to every plan it makes, and sim.simulate to every plan it times."""
-    n = len(plan.peers)
-    if n == 0:
-        raise ValueError("cannot simulate an empty plan")
-    if len(plan.block_sizes) != n or len(plan.peer_bandwidths) != n:
-        raise ValueError(
-            f"plan is inconsistent: {n} peers, {len(plan.block_sizes)} block sizes, "
-            f"{len(plan.peer_bandwidths)} bandwidths"
-        )
-    inf = math.inf
-    for peer, size, rate in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths):
-        # Written as ranges so that NaN fails too, which min() and max() would skip.
-        if not (0 < size < inf and 0 < rate < inf):
-            raise ValueError(f"block size or rate is not positive and finite for peer {peer.id}")
-
-
-def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> AllocationPlan:
-    """The bandwidth-minimal plan for peers already sorted by sort_peers.
+def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> AllocationPlan:
+    """The bandwidth-minimal plan for a cluster, its peers sorted by sort_peers.
 
     Gives each peer a block proportional to its upload, S*u_i/sum_uploads.
     Phase 2 needs (n-1)*S/sum_uploads seconds for the n-1 exchange steps,
@@ -293,8 +309,9 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
 
     Raises ValueError when no allocation can meet the delay bound, that is when
     the n-1 exchange steps alone take T <= (n-1)*S/sum_uploads, and for a plan
-    check_plan refuses (an overflow, a 0-bit block).
+    AllocationPlan refuses (an overflow, a 0-bit block, a repeated id).
     """
+    ordered = sort_peers(peers)
     if not ordered:
         raise ValueError("min_bandwidth requires at least one peer")
     n = len(ordered)
@@ -311,22 +328,4 @@ def plan_sorted(ordered: Sequence[PeerProfile], params: StreamParams) -> Allocat
     phase1 = params.delay_bound - phase2
     sizes = [params.package_size * u / sum_upload for u in uploads]
     bandwidths = [s / phase1 for s in sizes]
-    plan = AllocationPlan(
-        peers=tuple(ordered),
-        block_sizes=tuple(sizes),
-        peer_bandwidths=tuple(bandwidths),
-        total_bandwidth=total,
-        phase1_time=phase1,
-        phase2_time=phase2,
-    )
-    check_plan(plan)
-    return plan
-
-
-def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> AllocationPlan:
-    """Compute the bandwidth-minimal allocation plan for a cluster.
-
-    Sorts the peers ascending by upload (sort_peers) and plans them with
-    plan_sorted, and raises what it raises.
-    """
-    return plan_sorted(sort_peers(peers), params)
+    return AllocationPlan(tuple(ordered), tuple(sizes), tuple(bandwidths), total, phase1, phase2)

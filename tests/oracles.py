@@ -10,7 +10,7 @@ in place of the CLI's inline one, and the real-valued bound on how many
 peers a bandwidth can serve, which admission must respect. The admission
 oracles price each candidate set with allocated_bandwidth: the library's
 requirement over the canonical upload sum, taken in sort_peers order as
-admission and plan_sorted take it, so a budget that sits exactly on a set's
+admission and min_bandwidth take it, so a budget that sits exactly on a set's
 cost is judged by the same float on both sides.
 """
 

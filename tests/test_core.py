@@ -293,6 +293,20 @@ class TestMinBandwidth:
         assert all(close(bw, 10000.0) for bw in plan.peer_bandwidths)
         assert close(plan.total_bandwidth, 20000.0)
 
+    def test_repeated_ids_refused_naming_them_in_sorted_order(self):
+        # sim.simulate keys completion times by id. With both peers named x, a
+        # copy that delays the first x was timed by the second x's completion
+        # and reported continuous.
+        twins = [peer("x", 10000.0, 50000.0), peer("x", 20000.0, 50000.0)]
+        with pytest.raises(ValueError, match=r"^peer id\(s\) given more than once: x$"):
+            min_bandwidth(twins, STREAM)
+        crossed = [peer("b", 10000.0), peer("a", 20000.0), peer("b", 30000.0), peer("a", 40000.0)]
+        with pytest.raises(ValueError, match=r"^peer id\(s\) given more than once: a, b$"):
+            min_bandwidth(crossed, STREAM)
+        plan = min_bandwidth(TRIO, STREAM)
+        with pytest.raises(ValueError, match=r"^peer id\(s\) given more than once: a$"):
+            plan._replace(peers=(TRIO[0], TRIO[1], TRIO[0]))
+
     def test_infeasible_error_carries_details(self):
         fast = StreamParams(package_size=16000.0 * 0.2 * 2, delay_bound=0.2)
         peers = [peer("a", 10000.0), peer("b", 10000.0)]

@@ -26,10 +26,10 @@ from acide.cli import ParseInputError, load_peers_csv
 from acide.core import (
     DUPLICATE_ID,
     UPLOAD_OVER_DOWNLOAD,
+    AllocationPlan,
     ClusterRefused,
     PeerProfile,
     StreamParams,
-    check_plan,
     min_bandwidth,
     requirement,
     sort_peers,
@@ -90,6 +90,15 @@ def boundary_budgets(draw, ordered, stream):
     return draw(st.sampled_from([cost, math.nextafter(cost, 0.0), math.nextafter(cost, math.inf)]))
 
 
+def exact(value):
+    """value with every float spelled by float.hex, so that equal means equal bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return value
+
+
 def assert_admits_like_a_linear_scan(pool, stream, data):
     ordered = sort_peers(pool)
     cap = data.draw(st.one_of(boundary_budgets(ordered, stream), bandwidths))
@@ -102,6 +111,8 @@ def assert_admits_like_a_linear_scan(pool, stream, data):
     outcome = join_cluster(budget)
     assert outcome.rejected == tuple(ordered[:removed])
     assert outcome.admitted == tuple(ordered[removed:])
+    # Admission plans its suffix as solve plans the same set, to the bit.
+    assert exact(outcome.plan) == exact(min_bandwidth(outcome.admitted, stream))
 
 
 @PROPERTY
@@ -160,15 +171,6 @@ def pools_with_rates(draw):
     pool = draw(candidate_pools())
     sums = [upload_total(p.upload for p in pool) / len(pool), upload_total(p.download for p in pool)]
     return pool, draw(st.sampled_from(sums) | bandwidths)
-
-
-def exact(value):
-    """value with every float spelled by float.hex, so that equal means equal bits."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, tuple):
-        return tuple(exact(v) for v in value)
-    return value
 
 
 def answers(pool, stream, cap):
@@ -305,7 +307,7 @@ def test_min_bandwidth_returns_only_plans_that_divide_the_package(pool, rate):
         plan = min_bandwidth(pool, StreamParams(package_size=rate * DELAY, delay_bound=DELAY))
     except ValueError:
         return
-    check_plan(plan)
+    AllocationPlan._make(plan)
     json.dumps(plan_document(plan), allow_nan=False)
 
 

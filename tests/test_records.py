@@ -150,6 +150,7 @@ CHECKED_RECORDS = [
     (STREAM, {"delay_bound": 0.1}, {"package_size": -1.0}),
     (BUDGET, {"candidates": PEERS[:2]}, {"given_allocated_bandwidth": 0.0}),
     (SPEC, {"seed": 9}, {"seed": 1.5}),
+    (PLAN, {"total_bandwidth": 20000.0}, {"peer_bandwidths": (*PLAN.peer_bandwidths[:2], math.nan)}),
 ]
 
 

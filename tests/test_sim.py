@@ -193,10 +193,10 @@ class TestSimulate:
     def test_non_finite_plan_value_rejected_naming_the_peer(self, field, value):
         # A NaN used to pass the plan check, and max() then skipped it: the
         # plan was reported continuous although peer b's completion was NaN.
+        # A plan is checked when it is built or copied, so the copy itself is refused.
         plan = min_bandwidth(TRIO, STREAM)
-        bad = plan._replace(**{field: (*getattr(plan, field)[:2], value)})
         with pytest.raises(ValueError, match="not positive and finite for peer c$"):
-            simulate(bad)
+            plan._replace(**{field: (*getattr(plan, field)[:2], value)})
 
 
 class TestPlaybackCheck:
