@@ -6,9 +6,9 @@ prints nothing on stdout. Exit codes: 0 success, 2 parse/validation/output
 failure, 3 insufficient budget. Every failure prints one line to stderr of
 the form `error[<code>]: <detail>` so scripts can branch on the reason;
 `error[output]` names an --output file that cannot be opened for writing.
-The default seed is 42 and may be overridden by the ACIDE_SEED environment
-variable or the --seed flag (flag wins); for sweep, a scenario file's seed
-ranks between the two.
+The stream comes only from the flags, so a JSON peer file with a "stream"
+key is refused. The seed is --seed, else 42; for sweep, a scenario file's
+seed ranks between the two.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ if TYPE_CHECKING:
 # acide.output, and simulate without --output loads neither acide.admission
 # nor acide.output.
 
-SEED_ENV_VAR = "ACIDE_SEED"
-
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
@@ -65,27 +63,9 @@ def _fail(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
 
 
-def _seed(args: argparse.Namespace) -> int:
-    """--seed, else the ACIDE_SEED environment variable, else the default seed."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseInputError(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from exc
-    return DEFAULT_SEED
-
-
-def _delay_s(args: argparse.Namespace, stream_info: dict | None = None) -> float:
-    """Delay bound in seconds: --delay-ms, else the input file's delay_ms, else 200 ms."""
-    delay_ms = args.delay_ms
-    if delay_ms is None and stream_info:
-        delay_ms = stream_info.get("delay_ms")
-    if delay_ms is None:
-        delay_ms = DEFAULT_DELAY_BOUND * 1000.0
-    return delay_ms / 1000.0
+def _delay_s(args: argparse.Namespace) -> float:
+    """The delay bound in seconds: --delay-ms, else 200 ms."""
+    return DEFAULT_DELAY_BOUND if args.delay_ms is None else args.delay_ms / 1000.0
 
 
 def _peer(where: str, ident, upload, download) -> PeerProfile:
@@ -164,22 +144,27 @@ def _read_json(path: str):
         raise ParseInputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseInputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseInputError(f"{path}: JSON nested too deeply") from None
 
 
-def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
-    """Read peers (and optional stream section) from a JSON input file.
+def load_peers_json(path: str) -> list[PeerProfile]:
+    """Read peers from a JSON file: a list of peer objects, or an object with one under "peers".
 
-    Accepts either a bare list of peer objects or {"peers": [...],
-    "stream": {"package_bits": ..., "delay_ms": ...}}. Peer objects carry
-    id, u_bps, d_bps.
+    Peer objects carry id, u_bps, d_bps; other keys, such as those of a plan
+    document, are ignored. An object with a "stream" key is refused, so that
+    an old file's stream is never silently replaced by the flags' defaults.
     """
     data = _read_json(path)
-    stream_info: dict = {}
     if isinstance(data, dict):
+        if "stream" in data:
+            raise ParseInputError(
+                f"{path}: a \"stream\" section is not read; "
+                "give the stream with --package-bits or --livestream-bps, and --delay-ms"
+            )
         raw_peers = data.get("peers")
         if not isinstance(raw_peers, list):
             raise ParseInputError(f"{path}: expected a \"peers\" list")
-        stream_info = _stream_section(path, data.get("stream"))
     elif isinstance(data, list):
         raw_peers = data
     else:
@@ -193,60 +178,29 @@ def load_peers_json(path: str) -> tuple[list[PeerProfile], dict]:
         peers.append(_peer(f"{path}: peer #{i + 1}", ident, upload, download))
     if not peers:
         raise ParseInputError(f"{path}: no peers found")
-    return peers, stream_info
+    return peers
 
 
-def _stream_section(path: str, section) -> dict:
-    """The stream section of a JSON peer file as {key: float}; null values count as absent.
-
-    Only the keys _resolve_stream reads are allowed, so that a misspelt key is refused.
-    """
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ParseInputError(f"{path}: \"stream\" must be an object, got {section!r}")
-    given = {key: value for key, value in section.items() if value is not None}
-    if unknown := sorted(given.keys() - {"package_bits", "delay_ms", "livestream_bps"}):
-        raise ParseInputError(f"{path}: unknown stream key(s): {', '.join(unknown)}")
-    try:
-        return {key: number(value) for key, value in given.items()}
-    except (TypeError, ValueError):
-        raise ParseInputError(f"{path}: stream values must be numbers, got {section!r}") from None
+def _load_peer_input(path: str) -> list[PeerProfile]:
+    return load_peers_json(path) if path.endswith(".json") else load_peers_csv(path)
 
 
-def _load_peer_input(path: str) -> tuple[list[PeerProfile], dict]:
-    if path.endswith(".json"):
-        return load_peers_json(path)
-    return load_peers_csv(path), {}
-
-
-def _resolve_stream(args: argparse.Namespace, stream_info: dict) -> StreamParams:
-    """Stream parameters from flags, falling back to the input file's values.
-
-    Flags override the file. Package size comes from --package-bits, or from
-    --livestream-bps times the delay bound. The delay bound defaults to 200 ms.
-    """
-    delay_s = _delay_s(args, stream_info)
+def _resolve_stream(args: argparse.Namespace) -> StreamParams:
+    """The stream from the flags: --package-bits, or --livestream-bps times the delay bound."""
+    delay_s = _delay_s(args)
     if args.package_bits is not None:
         package = args.package_bits
     elif args.livestream_bps is not None:
         package = args.livestream_bps * delay_s
-    elif stream_info.get("package_bits") is not None:
-        package = stream_info["package_bits"]
-    elif stream_info.get("livestream_bps") is not None:
-        package = stream_info["livestream_bps"] * delay_s
     else:
-        raise ValueError(
-            "no package size given: pass --package-bits or --livestream-bps, "
-            "or put a stream section in the input file"
-        )
+        raise ValueError("no package size given: pass --package-bits or --livestream-bps")
     return StreamParams(package_size=package, delay_bound=delay_s)
 
 
 def _planned(args: argparse.Namespace) -> tuple[AllocationPlan, StreamParams]:
     """The input's plan from min_bandwidth and its stream; ClusterRefused names every broken cluster rule."""
-    peers, stream_info = _load_peer_input(args.input)
-    stream = _resolve_stream(args, stream_info)
+    peers = _load_peer_input(args.input)
+    stream = _resolve_stream(args)
     if violations := validate_cluster(peers, stream).violations:
         raise ClusterRefused(violations)
     return min_bandwidth(peers, stream), stream
@@ -286,8 +240,8 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
 def _cmd_admit(args: argparse.Namespace) -> Result:
     from acide.admission import AdmissionBudget, join_cluster
 
-    peers, stream_info = _load_peer_input(args.input)
-    stream = _resolve_stream(args, stream_info)
+    peers = _load_peer_input(args.input)
+    stream = _resolve_stream(args)
     outcome = join_cluster(AdmissionBudget(float(args.budget_bps), tuple(peers), stream))
     lines = [
         f"admitted {len(outcome.admitted)} of {len(peers)} candidates",
@@ -328,9 +282,8 @@ def _cmd_sweep(args: argparse.Namespace) -> Result:
         raise ValueError(f"{args.input}: malformed scenario: expected a JSON object")
     if args.sizes:
         data["cluster_sizes"] = args.sizes
-    # --seed, else the file's seed, else ACIDE_SEED, else the default seed.
-    if args.seed is not None or "seed" not in data:
-        data["seed"] = _seed(args)
+    if args.seed is not None:  # else the file's seed, else the default seed
+        data["seed"] = args.seed
     spec = scenario_from_dict(data, source=args.input or "<scenario>")
     records = run_admission_sweep(spec)
     lines = [f"wrote {len(records)} records to {args.output}"] if args.output else []
@@ -355,11 +308,11 @@ def _cmd_curve(args: argparse.Namespace) -> Result:
     from acide import output
     from acide.experiments import admitted_vs_budget_curve
 
-    seed, delay_s = _seed(args), _delay_s(args)
+    delay_s = _delay_s(args)
     # Each size once, in the order first given; every curve is computed
     # before any is written, so a failing size leaves no files.
     curves = [
-        (size, admitted_vs_budget_curve(size, float(args.livestream_bps), seed, delay_bound=delay_s))
+        (size, admitted_vs_budget_curve(size, float(args.livestream_bps), args.seed, delay_bound=delay_s))
         for size in dict.fromkeys(args.sizes)
     ]
     return _per_size(args, output.CURVE_COLUMNS, curves)
@@ -369,9 +322,9 @@ def _cmd_profile(args: argparse.Namespace) -> Result:
     from acide import output
     from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, block_size_profile
 
-    seed, delay_s = _seed(args), _delay_s(args)
+    delay_s = _delay_s(args)
     stream = StreamParams(package_size=float(args.livestream_bps) * delay_s, delay_bound=delay_s)
-    profiles = block_size_profile(args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, seed)
+    profiles = block_size_profile(args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, args.seed)
     tables = ((size, output.profile_rows(rows)) for size, rows in sorted(profiles.items()))
     return _per_size(args, output.PROFILE_COLUMNS, tables)
 
@@ -434,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         tables.add_argument("--sizes", type=int, nargs="+", required=True, help=sizes_help)
         tables.add_argument("--livestream-bps", type=float, required=True)
         tables.add_argument("--delay-ms", type=float, help="delay bound in milliseconds (default 200)")
-        tables.add_argument("--seed", type=int)
+        tables.add_argument("--seed", type=int, default=DEFAULT_SEED)
         _add_io_flags(tables, output_required=True)
         tables.set_defaults(handler=handler)
 

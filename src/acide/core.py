@@ -47,7 +47,10 @@ def number(value, kind: type = float):
         raise TypeError(f"expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected a whole number, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as exc:  # an int beyond the range of a float
+        raise ValueError(str(exc)) from None
 
 
 def _repeated_ids(ids: list[str]) -> str | None:

@@ -41,7 +41,6 @@ def peers_json(tmp_path):
             {"id": "b", "u_bps": 15000, "d_bps": 30000},
             {"id": "c", "u_bps": 20000, "d_bps": 40000},
         ],
-        "stream": {"package_bits": 2000, "delay_ms": 200},
     }
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
@@ -67,15 +66,17 @@ class TestSolve:
         assert plan["total_bandwidth_bps"] == pytest.approx(18000.0, rel=1e-9)
         assert [p["id"] for p in plan["peers"]] == ["a", "b", "c"]
 
-    def test_stream_from_json_file(self, peers_json, capsys):
-        assert main(["solve", "--input", peers_json]) == 0
-        assert "18000.00" in capsys.readouterr().out
-
-    def test_flags_override_file_stream(self, peers_json, capsys):
-        # Twice the package in the same window needs more bandwidth.
-        assert main(["solve", "--input", peers_json, "--package-bits", "3000"]) == 0
-        out = capsys.readouterr().out
-        assert "18000.00" not in out
+    def test_json_peer_object_and_plan_document_solve_like_the_csv(self, peers_csv, peers_json, tmp_path, capsys):
+        stream = ["--livestream-bps", "10000"]
+        assert main(["solve", "--input", peers_csv, *stream]) == 0
+        from_csv = capsys.readouterr()
+        assert "total allocated bandwidth: 18000.00 bps\n" in from_csv.out
+        plan = tmp_path / "plan.json"
+        assert main(["solve", "--input", peers_json, *stream, "--output", str(plan), "--format", "json"]) == 0
+        assert capsys.readouterr().out == f"{from_csv.out}wrote {plan}\n"
+        # A plan document is an object with a "peers" list, and no "stream" key.
+        assert main(["solve", "--input", str(plan), *stream]) == 0
+        assert capsys.readouterr() == from_csv
 
     def test_csv_plan_output(self, peers_csv, tmp_path, capsys):
         out = tmp_path / "plan.csv"
@@ -95,7 +96,9 @@ class TestSolve:
 
     def test_missing_stream_is_validation_error(self, peers_csv, capsys):
         assert main(["solve", "--input", peers_csv]) == 2
-        assert "error[validation]" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error[validation]: no package size given: pass --package-bits or --livestream-bps\n"
+        assert captured.out == ""
 
     def test_assumption_violation_named(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -187,19 +190,25 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "stream",
-        [[2000], "x", {"delay_ms": [1]}, {"package_bits": {"a": 1}}],
-        ids=["list", "string", "list-value", "object-value"],
+        [{"package_bits": 2000, "delay_ms": 200}, None, {}, [2000], "x", {"delay_ms": [1]},
+         {"package_bits": {"a": 1}}, {"package_bits": True}, {"package_bits": 2000, "delay_ms": True},
+         {"livestream_bps": False}, {"delay_msec": 100}],
+        ids=["valid", "null", "empty", "list", "string", "list-value", "object-value", "true-package",
+             "true-delay", "false-rate", "unknown-key"],
     )
-    def test_malformed_stream_section_is_parse_error(self, tmp_path, capsys, stream):
+    def test_a_stream_key_is_refused_whatever_its_value(self, tmp_path, capsys, stream):
+        # Refused, not ignored, so that an old file is not re-planned at the 200 ms default.
         path = tmp_path / "stream.json"
         peers = [{"id": "a", "u_bps": 20000, "d_bps": 40000}, {"id": "b", "u_bps": 20000, "d_bps": 40000}]
         path.write_text(json.dumps({"peers": peers, "stream": stream}), encoding="utf-8")
-        code = main(["solve", "--input", str(path), "--livestream-bps", "10000"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error[parse]" in captured.err
-        assert "stream.json" in captured.err
-        assert captured.out == ""
+        for argv in (["solve"], ["admit", "--budget-bps", "40000"], ["simulate"]):
+            assert main([*argv, "--input", str(path), "--livestream-bps", "10000"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error[parse]: {path}: a \"stream\" section is not read; "
+                "give the stream with --package-bits or --livestream-bps, and --delay-ms\n"
+            )
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "peer",
@@ -217,22 +226,6 @@ class TestSolve:
         assert code == 2
         assert "error[parse]" in captured.err
         assert "bool.json: peer #2" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
-        "stream",
-        [{"package_bits": True}, {"package_bits": 2000, "delay_ms": True}, {"livestream_bps": False}],
-        ids=["true-package", "true-delay", "false-rate"],
-    )
-    def test_boolean_stream_value_is_parse_error(self, tmp_path, capsys, stream):
-        path = tmp_path / "stream.json"
-        peers = [{"id": "a", "u_bps": 20000, "d_bps": 40000}, {"id": "b", "u_bps": 20000, "d_bps": 40000}]
-        path.write_text(json.dumps({"peers": peers, "stream": stream}), encoding="utf-8")
-        code = main(["solve", "--input", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error[parse]" in captured.err
-        assert "stream.json" in captured.err
         assert captured.out == ""
 
     def test_nan_delay_is_validation_error(self, peers_csv, capsys):
@@ -420,14 +413,6 @@ class TestSweep:
             assert main(["sweep", "--sizes", "5", "--seed", "7", "--output", str(out)]) == 0
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
-
-    def test_seed_env_var(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "env.csv", tmp_path / "flag.csv"
-        monkeypatch.setenv("ACIDE_SEED", "99")
-        assert main(["sweep", "--sizes", "5", "--output", str(out1)]) == 0
-        monkeypatch.delenv("ACIDE_SEED")
-        assert main(["sweep", "--sizes", "5", "--seed", "99", "--output", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_scenario_file(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -766,20 +751,38 @@ def _sweep_stdout(capsys, argv):
     return capsys.readouterr().out
 
 
-def test_sweep_seed_order_with_a_scenario_file(tmp_path, monkeypatch, capsys):
-    # --seed, else the file's seed, else ACIDE_SEED, else 42.
+def test_sweep_seed_is_the_flag_then_the_scenario_file_then_42(tmp_path, capsys):
     unseeded = _scenario(tmp_path, {"cluster_sizes": [5]}, "unseeded.json")
     seeded = _scenario(tmp_path, {"cluster_sizes": [5], "seed": 4}, "seeded.json")
-    seed_4, seed_99 = (_sweep_stdout(capsys, ["--sizes", "5", "--seed", s]) for s in ("4", "99"))
-    assert seed_4 != seed_99
-    monkeypatch.setenv("ACIDE_SEED", "99")
-    assert _sweep_stdout(capsys, ["--input", unseeded]) == seed_99
-    assert _sweep_stdout(capsys, ["--input", seeded]) == seed_4
+    seed_4, seed_42, seed_99 = (_sweep_stdout(capsys, ["--sizes", "5", "--seed", s]) for s in ("4", "42", "99"))
+    assert len({seed_4, seed_42, seed_99}) == 3
     assert _sweep_stdout(capsys, ["--input", seeded, "--seed", "99"]) == seed_99
-    monkeypatch.setenv("ACIDE_SEED", "x")
     assert _sweep_stdout(capsys, ["--input", seeded]) == seed_4
-    assert main(["sweep", "--input", unseeded]) == 2
-    assert capsys.readouterr().err == "error[parse]: ACIDE_SEED='x' is not an integer seed\n"
+    assert _sweep_stdout(capsys, ["--input", unseeded]) == seed_42
+    assert _sweep_stdout(capsys, ["--sizes", "5"]) == seed_42
+
+
+def _seeded_outputs(tmp_path, capsys, extra=()):
+    """Stdout of sweep, curve and profile at size 5, and the bytes of each file they write."""
+    argv = [["sweep", "--sizes", "5"],
+            ["curve", "--sizes", "5", "--livestream-bps", "10000", "--output", str(tmp_path / "c.csv")],
+            ["profile", "--sizes", "5", "--livestream-bps", "10000", "--output", str(tmp_path / "p.csv")]]
+    stdout = []
+    for command in argv:
+        assert main([*command, *extra]) == 0
+        stdout.append(capsys.readouterr().out)
+    return stdout, {path.name: path.read_bytes() for path in sorted(tmp_path.glob("[cp]_n5.csv"))}
+
+
+@pytest.mark.parametrize("value", ["99", "x"])
+def test_the_acide_seed_variable_is_not_read(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.delenv("ACIDE_SEED", raising=False)
+    unset = _seeded_outputs(tmp_path, capsys)
+    assert len(unset[1]) == 2
+    assert _seeded_outputs(tmp_path, capsys, ["--seed", "42"]) == unset
+    monkeypatch.setenv("ACIDE_SEED", value)
+    assert _seeded_outputs(tmp_path, capsys) == unset
+    assert _seeded_outputs(tmp_path, capsys, ["--seed", "99"]) != unset
 
 
 def test_sweep_sizes_use_the_scenario_files_ranges(tmp_path, capsys):
@@ -1028,47 +1031,31 @@ def test_profile_of_an_infeasible_cluster_is_the_infeasible_error(tmp_path, caps
     assert not (tmp_path / "p_n5.csv").exists()
 
 
-def test_json_stream_rate_solves_like_the_flag(tmp_path, peers_csv, capsys):
-    # PEERS_CSV's three peers, with the stream rate in the file in place of the flag.
-    path = tmp_path / "peers.json"
-    peers = [{"id": i, "u_bps": u, "d_bps": 2 * u} for i, u in [("a", 10000), ("b", 15000), ("c", 20000)]]
-    path.write_text(json.dumps({"peers": peers, "stream": {"livestream_bps": 10000}}), encoding="utf-8")
-    assert main(["solve", "--input", peers_csv, "--livestream-bps", "10000"]) == 0
-    flag = capsys.readouterr()
-    assert main(["solve", "--input", str(path)]) == 0
-    assert capsys.readouterr() == flag
-    assert main(["solve", "--input", str(path), "--package-bits", "3000"]) == 0
-    assert "total allocated bandwidth: 45000.00 bps\n" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize(
-    "stream,unknown",
-    [({"delay_msec": 100, "livestream_bps": 10000}, "delay_msec"),
-     ({"zeta": 1, "package_bits": 2000, "alpha": None, "beta": "x"}, "beta, zeta")],
-    ids=["misspelt", "sorted"],
+    "argv,text,code",
+    [(["solve", "--livestream-bps", "10000"], '{"peers": [{"id": "a", "u_bps": 1%s, "d_bps": 20000}]}', "parse"),
+     (["sweep"], '{"cluster_sizes": [5], "budgets_bps": [1%s]}', "validation")],
+    ids=["peer-file", "scenario"],
 )
-def test_unknown_json_stream_key_is_parse_error(tmp_path, capsys, stream, unknown):
-    # A null value counts as absent, so alpha is not named.
-    path = tmp_path / "peers.json"
-    peers = [{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": "b", "u_bps": 15000, "d_bps": 30000}]
-    path.write_text(json.dumps({"peers": peers, "stream": stream}), encoding="utf-8")
-    code = main(["solve", "--input", str(path)])
+def test_a_json_integer_too_large_for_a_float_is_refused(tmp_path, capsys, argv, text, code):
+    # JSON reads 1 followed by 400 zeros as an int, and float() of it used to
+    # end the CLI in an OverflowError with a traceback.
+    path = tmp_path / "huge.json"
+    path.write_text(text % ("0" * 400), encoding="utf-8")
+    assert main([*argv, "--input", str(path)]) == 2
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == f"error[parse]: {path}: unknown stream key(s): {unknown}\n"
+    assert captured.err.startswith(f"error[{code}]: {path}: ")
     assert captured.out == ""
 
 
-def test_json_null_stream_values_and_other_top_level_keys_are_ignored(tmp_path, peers_csv, capsys):
-    path = tmp_path / "peers.json"
-    peers = [{"id": i, "u_bps": u, "d_bps": 2 * u} for i, u in [("a", 10000), ("b", 15000), ("c", 20000)]]
-    document = {"peers": peers, "stream": {"livestream_bps": 10000, "delay_msec": None, "package_bits": None},
-                "meta": {"note": "kept out of the plan"}}
-    path.write_text(json.dumps(document), encoding="utf-8")
-    assert main(["solve", "--input", peers_csv, "--livestream-bps", "10000"]) == 0
-    flag = capsys.readouterr()
-    assert main(["solve", "--input", str(path)]) == 0
-    assert capsys.readouterr() == flag
+@pytest.mark.parametrize("argv", [["solve", "--livestream-bps", "10000"], ["sweep"]], ids=["solve", "sweep"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main([*argv, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[parse]: {path}: JSON nested too deeply\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])

@@ -14,6 +14,7 @@ from acide.core import (
     STREAM_OVER_MEAN_UPLOAD,
     UPLOAD_OVER_DOWNLOAD,
     UPLOAD_OVER_MIN_DOWNLOAD,
+    AllocationPlan,
     PeerProfile,
     StreamParams,
     min_bandwidth,
@@ -239,6 +240,12 @@ class TestNumber:
         with pytest.raises(TypeError):
             number(True, kind)
 
+    def test_an_int_too_large_for_a_float_is_a_value_error(self):
+        # JSON reads 1 followed by 400 zeros as an int, which float() overflows on.
+        with pytest.raises(ValueError, match="too large"):
+            number(10**400)
+        assert number(10**400, int) == 10**400
+
 
 class TestAllocatedBandwidth:
     def test_three_peer_example(self):
@@ -321,6 +328,17 @@ class TestMinBandwidth:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             min_bandwidth([], STREAM)
+
+
+class TestAllocationPlan:
+    def test_a_plan_needs_one_block_size_and_one_positive_rate_per_peer(self):
+        plan = min_bandwidth(TRIO, STREAM)
+        with pytest.raises(ValueError, match="^an allocation plan needs at least one peer$"):
+            AllocationPlan((), (), (), 0.0, STREAM.delay_bound, 0.0)
+        with pytest.raises(ValueError, match="^plan is inconsistent: 3 peers, 2 block sizes, 3 bandwidths$"):
+            plan._replace(block_sizes=plan.block_sizes[:2])
+        with pytest.raises(ValueError, match="^block size or rate is not positive and finite for peer b$"):
+            plan._replace(peer_bandwidths=(1.0, -5.0, 1.0))
 
 
 @pytest.fixture(scope="module")
