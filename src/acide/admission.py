@@ -9,9 +9,9 @@ most sum(u). The requirement is therefore monotone along the upload-sorted
 suffixes, and admission bisects for the longest suffix that fits.
 
 AdmissionBudget also decides who may be a candidate, for the library and
-the CLI alike: a peer that keeps validate_cluster's per-peer rules,
-CANDIDATE_CODES. A candidate's bandwidths need no check of their own here,
-since PeerProfile refuses any that is not positive and finite.
+the CLI alike: a peer that keeps validate_cluster's per-peer rules. A
+candidate's bandwidths need no check of their own here, since PeerProfile
+refuses any that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -21,22 +21,18 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from acide.core import (
-    DUPLICATE_ID,
-    UPLOAD_OVER_DOWNLOAD,
     AllocationPlan,
     ClusterRefused,
     InsufficientBudgetError,
     PeerProfile,
     StreamParams,
     _CheckedRecord,
+    _peer_violations,
     min_bandwidth,
     requirement,
     sort_peers,
     upload_total,
-    validate_cluster,
 )
-
-CANDIDATE_CODES = (DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD)
 
 
 class _BudgetFields(NamedTuple):
@@ -48,9 +44,9 @@ class _BudgetFields(NamedTuple):
 class AdmissionBudget(_CheckedRecord, _BudgetFields):
     """Inputs to an admission decision: the reserved budget, who wants in, the stream.
 
-    The candidates, a non-empty sequence stored as a tuple, must break no
-    CANDIDATE_CODES rule (else ClusterRefused), then the budget must be
-    positive and finite; copies from _replace or _make are checked alike.
+    The candidates, a non-empty sequence stored as a tuple, must keep
+    validate_cluster's per-peer rules (else ClusterRefused), then the budget
+    must be positive and finite; copies from _replace or _make are checked alike.
     """
 
     __slots__ = ()
@@ -61,7 +57,7 @@ class AdmissionBudget(_CheckedRecord, _BudgetFields):
         candidates = tuple(candidates)
         if not candidates:
             raise ValueError("admission requires at least one candidate")
-        if refused := [v for v in validate_cluster(candidates, stream).violations if v.code in CANDIDATE_CODES]:
+        if refused := _peer_violations(candidates):
             raise ClusterRefused(refused)
         if not (given_allocated_bandwidth > 0 and math.isfinite(given_allocated_bandwidth)):
             raise ValueError(

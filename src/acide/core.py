@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from functools import reduce
 from operator import add, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -218,6 +218,17 @@ class ClusterRefused(ValueError):
         super().__init__("; ".join(f"{v.code}: {v.message}" for v in self.violations))
 
 
+def _peer_violations(peers: Sequence[PeerProfile]) -> list[AssumptionViolation]:
+    """Violations of validate_cluster's per-peer rules, the only ones AdmissionBudget applies."""
+    violations: list[AssumptionViolation] = []
+    if repeated := _repeated_ids([p.id for p in peers]):
+        violations.append(AssumptionViolation(DUPLICATE_ID, repeated))
+    if bad := [p.id for p in peers if p.upload > p.download]:
+        violations.append(AssumptionViolation(UPLOAD_OVER_DOWNLOAD, (
+            f"upload exceeds download for peer(s): {', '.join(bad)}")))
+    return violations
+
+
 def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> ValidationReport:
     """Check the cluster assumptions and report every violated condition.
 
@@ -242,32 +253,22 @@ def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> Vali
     rate = params.livestream_bandwidth
     uploads = sorted(p.upload for p in peer_list)
     downloads = sorted(p.download for p in peer_list)
-    violations: list[AssumptionViolation] = []
-
-    def report(code: str, message: str) -> None:
-        violations.append(AssumptionViolation(code, message))
-
-    total_upload = upload_total(uploads)
+    violations = _peer_violations(peer_list)
     total_download = upload_total(downloads)
-    if repeated := _repeated_ids([p.id for p in peer_list]):
-        report(DUPLICATE_ID, repeated)
-    bad = [p.id for p in peer_list if p.upload > p.download]
-    if bad:
-        report(UPLOAD_OVER_DOWNLOAD, f"upload exceeds download for peer(s): {', '.join(bad)}")
     if rate >= total_download:
-        report(STREAM_OVER_CLUSTER_DOWNLOAD,
-               f"livestream bandwidth {rate:.2f} bps is not below the cluster "
-               f"download total {total_download:.2f} bps")
+        violations.append(AssumptionViolation(STREAM_OVER_CLUSTER_DOWNLOAD, (
+            f"livestream bandwidth {rate:.2f} bps is not below the cluster "
+            f"download total {total_download:.2f} bps")))
     if uploads[-1] > downloads[0]:
-        report(UPLOAD_OVER_MIN_DOWNLOAD,
-               f"largest upload {uploads[-1]:.2f} bps exceeds smallest download "
-               f"{downloads[0]:.2f} bps, so some peer cannot absorb another's block")
-    mean_upload = total_upload / len(uploads)
+        violations.append(AssumptionViolation(UPLOAD_OVER_MIN_DOWNLOAD, (
+            f"largest upload {uploads[-1]:.2f} bps exceeds smallest download "
+            f"{downloads[0]:.2f} bps, so some peer cannot absorb another's block")))
+    mean_upload = upload_total(uploads) / len(uploads)
     if rate > mean_upload:
-        report(STREAM_OVER_MEAN_UPLOAD,
-               f"livestream bandwidth {rate:.2f} bps exceeds the mean upload "
-               f"{mean_upload:.2f} bps: the cluster costs at least as much as "
-               f"unicasting the stream to each of its {len(uploads)} peer(s)")
+        violations.append(AssumptionViolation(STREAM_OVER_MEAN_UPLOAD, (
+            f"livestream bandwidth {rate:.2f} bps exceeds the mean upload "
+            f"{mean_upload:.2f} bps: the cluster costs at least as much as "
+            f"unicasting the stream to each of its {len(uploads)} peer(s)")))
     return ValidationReport(tuple(violations))
 
 

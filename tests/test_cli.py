@@ -819,6 +819,28 @@ def test_scenario_size_without_ranges_is_named(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key", ["livestream_bandwidths_bps", "budgets_bps"])
+def test_scenario_without_rates_or_budgets_is_named(tmp_path, capsys, key):
+    assert main(["sweep", "--input", _scenario(tmp_path, {key: []})]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error[validation]: scenario needs livestream bandwidths and budgets\n"
+    assert captured.out == ""
+
+
+def test_sweep_gives_up_on_ranges_that_almost_never_keep_the_chain_rule(tmp_path, capsys):
+    # Twenty uploads and twenty downloads from one range: max upload <= min download
+    # holds about once in C(40, 20) draws, so every redraw fails.
+    ranges = {"20": [20000, 30000]}
+    scenario = {"cluster_sizes": [20], "upload_ranges": ranges, "download_ranges": ranges}
+    assert main(["sweep", "--input", _scenario(tmp_path, scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error[validation]: could not draw 20 peers with max upload <= min download from "
+        "uploads [20000.0, 30000.0] and downloads [20000.0, 30000.0] after 10000 attempts\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("data", [[5, 10], "5", 5, None], ids=["list", "string", "number", "null"])
 @pytest.mark.parametrize("extra", [[], ["--sizes", "5", "--seed", "1"]], ids=["plain", "with-flags"])
 def test_scenario_file_that_is_not_an_object_is_malformed(tmp_path, capsys, data, extra):
@@ -1055,6 +1077,28 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, argv):
     assert main([*argv, "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error[parse]: {path}: JSON nested too deeply\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["admit", "--budget-bps", "15000"]], ids=["solve", "admit"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (None, os.strerror(errno.ENOENT)),
+        ('{"x": 1}', 'expected a "peers" list'),
+        ("5", "expected a peer list or an object with one"),
+        ('[{"id": "a"}]', "peer #1 is malformed: 'u_bps'"),
+        ("[]", "no peers found"),
+    ],
+    ids=["missing", "no-peers-key", "number", "no-bandwidths", "empty-list"],
+)
+def test_json_peer_file_faults_are_parse_errors(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "x.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main([*argv, "--input", str(path), "--livestream-bps", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[parse]: {path}: {message}\n"
     assert captured.out == ""
 
 

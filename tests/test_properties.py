@@ -256,11 +256,34 @@ def test_block_sizes_match_exact_proportional_split(uploads, rate_share):
         assert abs(Fraction(size) - want) <= want * Fraction(1, 10**9)
 
 
+def absorbed_plan(uploads: list[float], sizes: list[float], shift: int) -> AllocationPlan:
+    """A hand-built plan whose blocks need not follow the uploads, its phase 1 2**shift steps long.
+
+    Every phase-1 transfer ends at that time, to rounding: the phase-2 start. Near
+    shift 53 one step is about one unit in the last place of that start, so
+    the start's rounding decides which step's arrival ends last.
+    """
+    step_length = max(size / upload for size, upload in zip(sizes, uploads))
+    phase1 = step_length * 2.0**shift
+    peers = tuple(PeerProfile(f"p{i:02d}", u, u) for i, u in enumerate(uploads))
+    rates = tuple(size / phase1 for size in sizes)
+    return AllocationPlan(peers, tuple(sizes), rates, sum(rates), phase1, (len(peers) - 1) * step_length)
+
+
+@st.composite
+def absorbed_plans(draw):
+    """absorbed_plan over 2..12 peers, with steps from far below to far above a second."""
+    uploads = draw(st.lists(bandwidths, min_size=2, max_size=12))
+    sizes = draw(st.lists(bandwidths, min_size=len(uploads), max_size=len(uploads)))
+    return absorbed_plan(uploads, sizes, draw(st.integers(48, 58)))
+
+
 @PROPERTY
 @given(
     uploads=uploads_of(60),
     rate_share=st.floats(min_value=1e-3, max_value=1.0),
     scale=st.one_of(st.none(), st.tuples(st.integers(0, 59), st.floats(min_value=0.5, max_value=2.0))),
+    hand_built=absorbed_plans(),
 )
 @example(
     # Steps so short that the phase-2 start absorbs them: p13's latest arrival
@@ -269,8 +292,11 @@ def test_block_sizes_match_exact_proportional_split(uploads, rate_share):
              1021038373.0, 1.0, 339570851841.0, 618139366616.0, 1e12, 1e12, 0.5],
     rate_share=0.001,
     scale=(0, 0.5),
+    # 3 s steps after a phase 1 of 2**53 of them: peers p02 and p04 get their
+    # latest block in step 3 of 4, so only a check of the earlier steps finds it.
+    hand_built=absorbed_plan([5.0, 3.0, 8.0, 9.0, 2.0], [4.0, 8.0, 9.0, 1.0, 6.0], 53),
 )
-def test_simulation_matches_the_event_replay(uploads, rate_share, scale):
+def test_simulation_matches_the_event_replay(uploads, rate_share, scale, hand_built):
     stream = StreamParams(package_size=min(uploads) * rate_share * DELAY, delay_bound=DELAY)
     plan = min_bandwidth(as_pool(uploads), stream)
     if scale is not None:
@@ -279,11 +305,12 @@ def test_simulation_matches_the_event_replay(uploads, rate_share, scale):
         sizes = list(plan.block_sizes)
         sizes[index % len(sizes)] *= factor
         plan = plan._replace(block_sizes=tuple(sizes))
-    events, completion, makespan = replay_simulation(plan)
-    trace = simulate(plan)
-    assert trace.completion_times == completion
-    assert trace.makespan == makespan
-    assert trace.events == events
+    for plan in (plan, hand_built):
+        events, completion, makespan = replay_simulation(plan)
+        trace = simulate(plan)
+        assert trace.completion_times == completion
+        assert trace.makespan == makespan
+        assert trace.events == events
 
 
 # Log-uniform over the whole positive float range, as far as 10.0 ** e stays finite.

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from acide.core import PeerProfile, StreamParams, min_bandwidth, sort_peers
+from acide.core import ABS_TOL, REL_TOL, PeerProfile, StreamParams, min_bandwidth, sort_peers
 from acide.output import TRACE_COLUMNS, trace_document, write_table
 from acide.sim import (
     BASE_STATION,
@@ -181,7 +181,7 @@ class TestSimulate:
         assert len(trace.events) == 40 * 40
         assert event_reads == [40 * 40]
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
     @pytest.mark.parametrize("field", ["block_sizes", "peer_bandwidths"])
     def test_non_finite_plan_value_rejected_naming_the_peer(self, field, value):
         # A NaN used to pass the plan check, and max() then skipped it: the
@@ -203,6 +203,22 @@ class TestPlaybackCheck:
         assert not report.continuous
         assert report.worst_peer == "b"
         assert close(report.overshoot, delayed["b"] - 0.2)
+
+    def test_a_tie_names_the_larger_id(self):
+        # Equal uploads give equal blocks and equal step durations, so a and b finish together.
+        pair = [PeerProfile("a", 10000.0, 30000.0), PeerProfile("b", 10000.0, 30000.0)]
+        trace = simulate(min_bandwidth(pair, STREAM))
+        assert list(trace.completion_times) == ["a", "b"]
+        assert trace.completion_times["a"] == trace.completion_times["b"]
+        assert playback_check(trace, STREAM).worst_peer == "b"
+
+    def test_tolerance_edge(self):
+        trace = simulate(min_bandwidth(TRIO, STREAM))
+        edge = STREAM.delay_bound * (1 + REL_TOL) + ABS_TOL
+        for end, continuous in ((edge, True), (math.nextafter(edge, math.inf), False)):
+            at = trace._replace(completion_times={**trace.completion_times, "b": end}, makespan=end)
+            report = playback_check(at, STREAM)
+            assert (report.continuous, report.worst_peer, report.overshoot) == (continuous, "b", end - 0.2)
 
 
 class TestTraceExport:
