@@ -31,7 +31,6 @@ from acide.core import (
     min_bandwidth,
     requirement,
     sort_peers,
-    upload_total,
 )
 
 
@@ -80,14 +79,12 @@ def _first_kept(uploads: Sequence[float], stream: StreamParams, budget: float) -
     """Index of the first peer kept: the smallest r whose suffix uploads[r:] fits `budget`.
 
     `uploads` are the positive, finite uploads of an upload-sorted pool. A
-    suffix fits when its requirement over its upload_total, the total that
-    min_bandwidth plans it at, is at most `budget`. Suffix costs fall as r
-    grows, so a bisection over O(log N) suffixes finds the same r as a scan.
-    Returns len(uploads) when no suffix fits.
+    suffix fits when its requirement is at most `budget`. Suffix costs fall
+    as r grows, so a bisection over O(log N) suffixes finds the same r as a
+    scan. Returns len(uploads) when no suffix fits.
     """
-    n = len(uploads)
     return bisect.bisect_left(
-        range(n), True, key=lambda r: requirement(n - r, upload_total(uploads[r:]), stream) <= budget
+        range(len(uploads)), True, key=lambda r: requirement(uploads[r:], stream) <= budget
     )
 
 

@@ -242,7 +242,7 @@ def _cmd_admit(args: argparse.Namespace) -> Result:
 
     peers = _load_peer_input(args.input)
     stream = _resolve_stream(args)
-    outcome = join_cluster(AdmissionBudget(float(args.budget_bps), tuple(peers), stream))
+    outcome = join_cluster(AdmissionBudget(args.budget_bps, tuple(peers), stream))
     lines = [
         f"admitted {len(outcome.admitted)} of {len(peers)} candidates",
         f"allocated bandwidth: {_fmt_bw(outcome.plan.total_bandwidth)} bps "
@@ -312,7 +312,7 @@ def _cmd_curve(args: argparse.Namespace) -> Result:
     # Each size once, in the order first given; every curve is computed
     # before any is written, so a failing size leaves no files.
     curves = [
-        (size, admitted_vs_budget_curve(size, float(args.livestream_bps), args.seed, delay_bound=delay_s))
+        (size, admitted_vs_budget_curve(size, args.livestream_bps, args.seed, delay_bound=delay_s))
         for size in dict.fromkeys(args.sizes)
     ]
     return _per_size(args, output.CURVE_COLUMNS, curves)
@@ -323,7 +323,7 @@ def _cmd_profile(args: argparse.Namespace) -> Result:
     from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, block_size_profile
 
     delay_s = _delay_s(args)
-    stream = StreamParams(package_size=float(args.livestream_bps) * delay_s, delay_bound=delay_s)
+    stream = StreamParams(package_size=args.livestream_bps * delay_s, delay_bound=delay_s)
     profiles = block_size_profile(args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, args.seed)
     tables = ((size, output.profile_rows(rows)) for size, rows in sorted(profiles.items()))
     return _per_size(args, output.PROFILE_COLUMNS, tables)

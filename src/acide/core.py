@@ -288,14 +288,14 @@ def upload_total(uploads: Iterable[float]) -> float:
     return reduce(add, uploads, 0.0)
 
 
-def requirement(n: int, sum_upload: float, params: StreamParams) -> float:
-    """S / (T - (n-1)*S/sum_upload): the least bandwidth for n peers uploading sum_upload.
+def requirement(uploads: Sequence[float], params: StreamParams) -> float:
+    """S / (T - (n-1)*S/sum(u)): the least bandwidth for the n peers with these ascending uploads.
 
-    Written in this form so the single-peer case reduces to exactly S/T.
-    Returns math.inf as the infeasibility sentinel when the time budget left
-    for phase 1 is not positive.
+    Summed by upload_total, so a set costs the float min_bandwidth plans it at.
+    Written in this form so the single-peer case reduces to exactly S/T. Returns
+    math.inf as the infeasibility sentinel when phase 1 is left no time.
     """
-    phase1_budget = params.delay_bound - (n - 1) * params.package_size / sum_upload
+    phase1_budget = params.delay_bound - (len(uploads) - 1) * params.package_size / upload_total(uploads)
     if phase1_budget <= 0:
         return math.inf
     return params.package_size / phase1_budget
@@ -321,15 +321,15 @@ def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> Allocat
     n = len(ordered)
     uploads = [p.upload for p in ordered]
     sum_upload = upload_total(uploads)
-    total = requirement(n, sum_upload, params)
-    if math.isinf(total):
+    phase2 = (n - 1) * params.package_size / sum_upload
+    phase1 = params.delay_bound - phase2
+    if phase1 <= 0:
         raise ValueError(
             f"no feasible allocation for n={n} peers with total upload {sum_upload:.2f} bps: "
             f"livestream bandwidth {params.livestream_bandwidth:.2f} bps exceeds what the "
             f"cluster can redistribute within the delay bound"
         )
-    phase2 = (n - 1) * params.package_size / sum_upload
-    phase1 = params.delay_bound - phase2
     sizes = [params.package_size * u / sum_upload for u in uploads]
     bandwidths = [s / phase1 for s in sizes]
+    total = params.package_size / phase1
     return AllocationPlan(tuple(ordered), tuple(sizes), tuple(bandwidths), total, phase1, phase2)

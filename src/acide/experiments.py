@@ -27,7 +27,6 @@ from acide.core import (
     number,
     requirement,
     sort_peers,
-    upload_total,
 )
 
 DEFAULT_LIVESTREAM_BANDWIDTHS = (10000.0, 12000.0, 14000.0, 16000.0)
@@ -247,7 +246,7 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
             stream = StreamParams(package_size=rate * spec.delay_bound, delay_bound=spec.delay_bound)
             for budget in sorted(set(spec.budgets), reverse=True):
                 removed = _first_kept(uploads, stream, budget)
-                bw = requirement(size - removed, upload_total(uploads[removed:]), stream) if removed < size else 0.0
+                bw = requirement(uploads[removed:], stream) if removed < size else 0.0
                 records.append(
                     ExperimentRecord(
                         pool_size=size,
@@ -291,7 +290,7 @@ def admitted_vs_budget_curve(
     # Every finite requirement is at most the largest float, and an
     # infeasible one is inf, so this budget admits the largest feasible group.
     first_feasible = _first_kept(uploads, stream, sys.float_info.max)
-    high = requirement(size - first_feasible, upload_total(uploads[first_feasible:]), stream)
+    high = requirement(uploads[first_feasible:], stream)
     if size == 1:
         grid = [high]
     else:

@@ -63,8 +63,6 @@ class PlaybackReport(NamedTuple):
     """
 
     continuous: bool
-    makespan: float
-    delay_bound: float
     worst_peer: str
     overshoot: float
 
@@ -112,13 +110,7 @@ def playback_check(trace: SimulationTrace, params: StreamParams) -> PlaybackRepo
     worst_peer, worst_time = max(trace.completion_times.items(), key=lambda kv: (kv[1], kv[0]))
     # Tolerate float noise: an optimal plan lands exactly on the bound.
     continuous = worst_time <= bound * (1 + REL_TOL) + ABS_TOL
-    return PlaybackReport(
-        continuous=continuous,
-        makespan=trace.makespan,
-        delay_bound=bound,
-        worst_peer=worst_peer,
-        overshoot=worst_time - bound,
-    )
+    return PlaybackReport(continuous=continuous, worst_peer=worst_peer, overshoot=worst_time - bound)
 
 
 def write_trace_json(trace: SimulationTrace, fp: IO[str]) -> None:

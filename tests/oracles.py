@@ -153,7 +153,7 @@ def allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: StreamParam
     """
     if not sorted_peers:
         raise ValueError("allocated_bandwidth requires at least one peer")
-    return requirement(len(sorted_peers), upload_total(p.upload for p in sorted_peers), params)
+    return requirement([p.upload for p in sorted_peers], params)
 
 
 def linear_suffix_scan(ordered: Sequence[PeerProfile], stream: StreamParams, cap: float) -> int:

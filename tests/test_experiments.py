@@ -69,6 +69,10 @@ class TestGeneratePeers:
         with pytest.raises(ValueError):
             generate_peers(3, (0.0, 2.0), (2.0, 3.0), seed=1)
 
+    def test_ranges_may_start_at_or_below_one(self):
+        pool = generate_peers(3, (0.5, 1.0), (1.0, 2.0), seed=1)
+        assert all(0.5 <= p.upload <= 1.0 <= p.download <= 2.0 for p in pool)
+
     def test_whole_float_size_draws_like_the_int(self):
         ranges = GOOD_UPLOAD, GOOD_DOWNLOAD
         assert generate_peers(5.0, *ranges, seed=3) == generate_peers(5, *ranges, seed=3)

@@ -45,7 +45,7 @@ RECORDS = [
     (SimulationTrace, ("plan", "completion_times", "makespan"), tuple(TRACE)),
     (
         PlaybackReport,
-        ("continuous", "makespan", "delay_bound", "worst_peer", "overshoot"),
+        ("continuous", "worst_peer", "overshoot"),
         tuple(playback_check(TRACE, STREAM)),
     ),
 ]
