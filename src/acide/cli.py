@@ -90,6 +90,16 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
         raise ParseInputError(f"{where}: bandwidths must be positive and finite, got {u}, {d}") from None
 
 
+def _is_header(row: list[str]) -> bool:
+    """Whether a first CSV record is the header: id first, in any case, unless 3 fields with float() bandwidths."""
+    try:
+        _, upload, download = row
+        float(upload), float(download)
+        return False
+    except ValueError:
+        return [c.strip().lower() for c in row[:1]] == ["id"]
+
+
 def load_peers_csv(path: str) -> list[PeerProfile]:
     """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional.
 
@@ -104,7 +114,7 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
         with open(path, "r", encoding="utf-8-sig", newline="") as fp:
             reader = csv.reader(fp)
             first = next(reader, [])
-            rows = reader if [c.strip().lower() for c in first[:1]] == ["id"] else chain([first], reader)
+            rows = reader if _is_header(first) else chain([first], reader)
             for row in rows:
                 try:
                     ident, upload, download = row

@@ -71,8 +71,6 @@ DEFAULT_BUDGETS = (
     10000.0,
 )
 
-MAX_REDRAWS = 10000
-
 
 class _ScenarioFields(NamedTuple):
     cluster_sizes: tuple[int, ...]
@@ -97,8 +95,8 @@ def pool_ranges(
 
     In this order, ValueError for a size that is not a whole number, for a
     size below 1, for a size missing from either mapping, for a range outside
-    0 < low <= high with finite ends (upload first), and for a pair whose
-    smallest upload exceeds its largest download, which no draw could chain.
+    0 < low <= high with finite ends (upload first), and for a download range
+    starting below the top of its upload range, as some draws could not chain.
     """
     size = number(size, int)
     if size < 1:
@@ -109,9 +107,10 @@ def pool_ranges(
     for field, (low, high) in zip(("upload_ranges", "download_ranges"), pair):
         if not (0 < low <= high < math.inf):
             raise ValueError(f"{field}[{size}] must satisfy 0 < low <= high, both finite, got [{low}, {high}]")
-    (u_low, _), (_, d_high) = pair
-    if u_low > d_high:
-        raise ValueError(f"impossible constraint: smallest upload {u_low} exceeds largest download {d_high}")
+    (_, u_high), (d_low, _) = pair
+    if u_high > d_low:
+        raise ValueError(f"download_ranges[{size}] must start at or above the top of upload_ranges[{size}], "
+                         f"got {d_low} below {u_high}")
     return pair
 
 
@@ -122,9 +121,10 @@ class ScenarioSpec(_CheckedRecord, _ScenarioFields):
     int; range ends, the delay bound, rates and budgets are stored as float.
     Each size, then each range key, must pass the pool rule of pool_ranges,
     in its order: size >= 1, both ranges given, 0 < low <= high with finite
-    ends, smallest upload <= largest download. A string where a sequence
-    belongs is refused rather than read character by character; copies made
-    with _replace or _make are converted and checked like new values.
+    ends, each download range starting at or above the top of its upload
+    range. A string where a sequence belongs is refused rather than read
+    character by character; copies made with _replace or _make are converted
+    and checked like new values.
     """
 
     __slots__ = ()
@@ -193,31 +193,20 @@ def generate_peers(
     download_range: tuple[float, float],
     seed: int,
 ) -> list[PeerProfile]:
-    """Draw a candidate pool: uniform uploads and downloads, chain-constrained.
+    """Draw a candidate pool: `size` uniform uploads, then `size` uniform downloads.
 
-    Every upload must be at most every download (so any peer can absorb any
-    other's block). Whole batches are redrawn until the constraint holds,
-    which also keeps the draw unbiased within the constraint; pathological
-    range pairs give up after MAX_REDRAWS attempts. Output is sorted
-    ascending by upload and deterministic for a given seed. The size and
-    ranges first pass the pool rule of pool_ranges, in its order and with its
-    messages: a whole size >= 1, 0 < low <= high with finite ends, smallest
-    upload <= largest download.
+    The size and ranges first pass the pool rule of pool_ranges, in its order
+    and with its messages: a whole size >= 1, 0 < low <= high with finite
+    ends, a download range starting at or above the top of the upload range.
+    So every upload is at most every download (any peer can absorb any
+    other's block) on the one draw. Output is sorted ascending by upload and
+    deterministic for a given seed.
     """
     (u_low, u_high), (d_low, d_high) = pool_ranges(size, {size: upload_range}, {size: download_range})
     size = int(size)  # whole, as pool_ranges checked
     rng = random.Random(seed)
-    for _ in range(MAX_REDRAWS):
-        uploads = [rng.uniform(u_low, u_high) for _ in range(size)]
-        downloads = [rng.uniform(d_low, d_high) for _ in range(size)]
-        if max(uploads) <= min(downloads):
-            break
-    else:
-        raise ValueError(
-            f"could not draw {size} peers with max upload <= min download from "
-            f"uploads [{u_low}, {u_high}] and downloads [{d_low}, {d_high}] "
-            f"after {MAX_REDRAWS} attempts"
-        )
+    uploads = [rng.uniform(u_low, u_high) for _ in range(size)]
+    downloads = [rng.uniform(d_low, d_high) for _ in range(size)]
     peers = [
         PeerProfile(id=f"u{i + 1:03d}", upload=u, download=d)
         for i, (u, d) in enumerate(zip(uploads, downloads))
@@ -230,7 +219,7 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
 
     One candidate pool is drawn per cluster size (see pool_seed) and reused
     across every stream rate and budget, so trends within a size are not
-    confounded by redraws. The pools come out of generate_peers sorted by
+    confounded by new draws. The pools come out of generate_peers sorted by
     upload, so each cell admits the suffix join_cluster would, found by one
     bisection. Records come out ordered: size ascending, stream rate
     ascending, budget descending. A budget below the livestream bandwidth

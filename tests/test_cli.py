@@ -94,6 +94,15 @@ class TestSolve:
         assert main(["solve", "--input", str(path), "--livestream-bps", "10000"]) == 0
         assert "18000.00" in capsys.readouterr().out
 
+    def test_peer_named_id_on_the_first_line_is_read(self, tmp_path, capsys):
+        path = tmp_path / "plain.csv"
+        path.write_text("id,10000,20000\nb,15000,30000\nc,20000,40000\n", encoding="utf-8")
+        assert main(["solve", "--input", str(path), "--livestream-bps", "10000"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("peers: 3\n")
+        assert "total allocated bandwidth: 18000.00 bps\n" in out
+        assert "\nid,10000.00,444.444444,4000.00\n" in out
+
     def test_missing_stream_is_validation_error(self, peers_csv, capsys):
         assert main(["solve", "--input", peers_csv]) == 2
         captured = capsys.readouterr()
@@ -827,16 +836,16 @@ def test_scenario_without_rates_or_budgets_is_named(tmp_path, capsys, key):
     assert captured.out == ""
 
 
-def test_sweep_gives_up_on_ranges_that_almost_never_keep_the_chain_rule(tmp_path, capsys):
+def test_sweep_refuses_ranges_that_overlap_before_drawing(tmp_path, capsys):
     # Twenty uploads and twenty downloads from one range: max upload <= min download
-    # holds about once in C(40, 20) draws, so every redraw fails.
+    # would hold about once in C(40, 20) draws, so the pair is refused before any draw.
     ranges = {"20": [20000, 30000]}
     scenario = {"cluster_sizes": [20], "upload_ranges": ranges, "download_ranges": ranges}
     assert main(["sweep", "--input", _scenario(tmp_path, scenario)]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "error[validation]: could not draw 20 peers with max upload <= min download from "
-        "uploads [20000.0, 30000.0] and downloads [20000.0, 30000.0] after 10000 attempts\n"
+        "error[validation]: download_ranges[20] must start at or above the top of upload_ranges[20], "
+        "got 20000.0 below 30000.0\n"
     )
     assert captured.out == ""
 
@@ -913,7 +922,7 @@ def test_pool_size_fault_writes_no_file(tmp_path, capsys, command, sizes, messag
         ([20000, 10000], [20000, 30000], "upload_ranges[5] must satisfy 0 < low <= high, both finite, got [20000.0, 10000.0]"),
         ([10000, 20000], [20000, math.nan], "download_ranges[5] must satisfy 0 < low <= high, both finite, got [20000.0, nan]"),
         ([10000, math.inf], [20000, 30000], "upload_ranges[5] must satisfy 0 < low <= high, both finite, got [10000.0, inf]"),
-        ([50000, 60000], [20000, 30000], "impossible constraint: smallest upload 50000.0 exceeds largest download 30000.0"),
+        ([50000, 60000], [20000, 30000], "download_ranges[5] must start at or above the top of upload_ranges[5], got 20000.0 below 60000.0"),
     ],
     ids=["inverted", "nan", "infinite", "impossible-pair"],
 )

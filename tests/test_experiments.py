@@ -141,6 +141,11 @@ class TestCurve:
             ns = [n for _, n in curve]
             assert ns == sorted(ns)
 
+    def test_one_peer_curve_is_the_livestream_bandwidth(self):
+        stream = StreamParams(package_size=10000.0 * 0.2, delay_bound=0.2)
+        curve = admitted_vs_budget_curve(1, 10000.0, 42, (10000.0, 20000.0), (20000.0, 30000.0))
+        assert curve == [(stream.livestream_bandwidth, 1)]
+
     def test_unknown_size_needs_ranges(self):
         with pytest.raises(ValueError):
             admitted_vs_budget_curve(7, 10000.0, seed=1)
@@ -349,7 +354,11 @@ POOL_FAULTS = {
     "infinite": (5, (10000.0, math.inf), GOOD_DOWNLOAD, f"upload_ranges[5] {RANGE_RULE} [10000.0, inf]"),
     "impossible-pair": (
         5, (50000.0, 60000.0), (20000.0, 30000.0),
-        "impossible constraint: smallest upload 50000.0 exceeds largest download 30000.0",
+        "download_ranges[5] must start at or above the top of upload_ranges[5], got 20000.0 below 60000.0",
+    ),
+    "overlapping-pair": (
+        5, (10000.0, 30000.0), (20000.0, 40000.0),
+        "download_ranges[5] must start at or above the top of upload_ranges[5], got 20000.0 below 30000.0",
     ),
     "fractional": (5.7, GOOD_UPLOAD, GOOD_DOWNLOAD, "expected a whole number, got 5.7"),
 }
@@ -399,7 +408,7 @@ def test_pool_fault_has_one_message(fault, entry):
 
 class TestSpecConstruction:
     SPEC = dict(delay_bound=0.2, livestream_bandwidths=(10000.0,), budgets=(20000.0,), seed=1)
-    IMPOSSIBLE = "^impossible constraint: smallest upload 50000.0 exceeds largest download 30000.0$"
+    IMPOSSIBLE = f"^{re.escape(POOL_FAULTS['impossible-pair'][3])}$"
 
     def test_impossible_pair_refused_when_built(self):
         with pytest.raises(ValueError, match=self.IMPOSSIBLE):

@@ -2,11 +2,12 @@
 candidate rule, the canonical upload sum, one answer for a pool in any
 order, closed-form block sizes, the closed-form simulation and the CSV peer
 reader against oracles, the plan rule on every plan min_bandwidth returns,
-and a plan for every cluster validate_cluster accepts.
+a plan for every cluster validate_cluster accepts, and a drawn pool as one
+batch of draws.
 
-Uploads span 1e-3 to 1e12 bps (1e-300 to 1e308 for the plan rule), pools
-run from a single peer up, and some pools are built from a few repeated
-values so that uploads tie. Examples are derandomised so the suite gives the
+Uploads span 1e-3 to 1e12 bps (1e-300 to 1e308 for the plan rule, and any
+positive finite float for drawn pools), pools run from a single peer up,
+and some pools are built from a few repeated values so that uploads tie. Examples are derandomised so the suite gives the
 same verdict on every run.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,7 @@ from acide.core import (
     upload_total,
     validate_cluster,
 )
+from acide.experiments import generate_peers
 from acide.output import plan_document
 from acide.sim import simulate
 from oracles import (
@@ -360,3 +363,33 @@ def test_min_bandwidth_plans_every_cluster_validate_cluster_accepts(uploads, spr
     assume(validate_cluster(pool, stream).ok)
     plan = min_bandwidth(pool, stream)
     assert plan.phase1_time > 0
+
+
+@st.composite
+def chained_ranges(draw):
+    """An upload range and a download range that starts at or above its top.
+
+    Any end may equal the one below it, so ranges of one point and a download
+    range that starts exactly at the top of the upload range are drawn too.
+    """
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    ends = sorted(draw(st.lists(positive, min_size=4, max_size=4)))
+    for i in range(1, 4):
+        if draw(st.booleans()):
+            ends[i] = ends[i - 1]
+    return (ends[0], ends[1]), (ends[2], ends[3])
+
+
+@PROPERTY
+@given(size=st.integers(1, 60), seed=st.integers(0, 2**64), ranges=chained_ranges())
+@example(size=5, seed=42, ranges=((10000.0, 20000.0), (20000.0, 30000.0)))
+@example(size=4, seed=1, ranges=((12000.0, 12000.0), (12000.0, 12000.0)))
+def test_a_drawn_pool_is_one_batch_of_draws(size, seed, ranges):
+    upload_range, download_range = ranges
+    rng = random.Random(seed)
+    uploads = [rng.uniform(*upload_range) for _ in range(size)]
+    downloads = [rng.uniform(*download_range) for _ in range(size)]
+    batch = [PeerProfile(f"u{i + 1:03d}", u, d) for i, (u, d) in enumerate(zip(uploads, downloads))]
+    pool = generate_peers(size, upload_range, download_range, seed)
+    assert pool == sort_peers(batch)
+    assert max(p.upload for p in pool) <= min(p.download for p in pool)
