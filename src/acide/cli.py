@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import os
 import sys
 from contextlib import nullcontext
@@ -90,31 +91,22 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
         raise ParseInputError(f"{where}: bandwidths must be positive and finite, got {u}, {d}") from None
 
 
-def _is_header(row: list[str]) -> bool:
-    """Whether a first CSV record is the header: id first, in any case, unless 3 fields with float() bandwidths."""
-    try:
-        _, upload, download = row
-        float(upload), float(download)
-        return False
-    except ValueError:
-        return [c.strip().lower() for c in row[:1]] == ["id"]
-
-
 def load_peers_csv(path: str) -> list[PeerProfile]:
-    """Read peers from CSV rows id,u_bps,d_bps; a matching header row is optional.
+    """Read peers from CSV rows id,u_bps,d_bps; a header row of exactly those names is optional.
 
-    Only the first record may be the header. A record of 3 fields that makes
-    a PeerProfile with a non-blank id is kept; any other is skipped if blank
-    and otherwise refused, with _peer's message when it has 3 fields.
-    Errors name the physical line where the record ends, which differs from
-    the record number once a quoted field spans lines.
+    Only the first record may be the header, compared stripped and in any case.
+    A 3-field record that makes a PeerProfile with a non-blank id is kept; any
+    other is skipped if blank and otherwise refused, with _peer's message when
+    it has 3 fields. Errors name the physical line where the record ends, which
+    differs from the record number once a quoted field spans lines.
     """
     peers = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fp:
             reader = csv.reader(fp)
             first = next(reader, [])
-            rows = reader if _is_header(first) else chain([first], reader)
+            is_header = [field.strip().lower() for field in first] == ["id", "u_bps", "d_bps"]
+            rows = reader if is_header else chain([first], reader)
             for row in rows:
                 try:
                     ident, upload, download = row
@@ -235,13 +227,16 @@ def _with_output(args: argparse.Namespace, lines: list[str], table: Callable[...
 
 def _cmd_solve(args: argparse.Namespace) -> Result:
     plan, _ = _planned(args)
+    table = io.StringIO()  # through csv.writer, so ids are quoted as in the --output CSV
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(("id", "u_bps", "s_bits", "bw_bps"))
+    writer.writerows((p.id, _fmt_bw(p.upload), f"{s:.6f}", _fmt_bw(bw))
+                     for p, s, bw in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths))
     lines = [
         f"peers: {len(plan.peers)}",
         f"phase 1: {plan.phase1_time:.6f} s   phase 2: {plan.phase2_time:.6f} s",
         f"total allocated bandwidth: {_fmt_bw(plan.total_bandwidth)} bps",
-        "id,u_bps,s_bits,bw_bps",
-        *(f"{p.id},{_fmt_bw(p.upload)},{s:.6f},{_fmt_bw(bw)}"
-          for p, s, bw in zip(plan.peers, plan.block_sizes, plan.peer_bandwidths)),
+        table.getvalue().removesuffix("\n"),  # print ends the last row
     ]
     return _with_output(args, lines, lambda output: (
         output.PLAN_COLUMNS, partial(output.plan_rows, plan), partial(output.plan_document, plan)))
@@ -330,11 +325,11 @@ def _cmd_curve(args: argparse.Namespace) -> Result:
 
 def _cmd_profile(args: argparse.Namespace) -> Result:
     from acide import output
-    from acide.experiments import DEFAULT_DOWNLOAD_RANGES, DEFAULT_UPLOAD_RANGES, block_size_profile
+    from acide.experiments import block_size_profile
 
     delay_s = _delay_s(args)
     stream = StreamParams(package_size=args.livestream_bps * delay_s, delay_bound=delay_s)
-    profiles = block_size_profile(args.sizes, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, stream, args.seed)
+    profiles = block_size_profile(args.sizes, stream, args.seed)
     tables = ((size, output.profile_rows(rows)) for size, rows in sorted(profiles.items()))
     return _per_size(args, output.PROFILE_COLUMNS, tables)
 

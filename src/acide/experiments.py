@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from acide.admission import _first_kept
 from acide.core import (
@@ -289,22 +289,18 @@ def admitted_vs_budget_curve(
 
 
 def block_size_profile(
-    sizes: Iterable[int],
-    upload_ranges: Mapping[int, tuple[float, float]],
-    download_ranges: Mapping[int, tuple[float, float]],
-    stream: StreamParams,
-    seed: int,
+    sizes: Iterable[int], stream: StreamParams, seed: int
 ) -> dict[int, list[tuple[float, float, float]]]:
     """Per-peer (upload, block size, bandwidth) tables for a set of cluster sizes.
 
-    Each cluster is drawn with its size's pool_seed and solved; rows are in
-    upload order, ready for plotting block size against upload capacity.
-    Sizes must be whole numbers.
+    Each cluster is drawn from its size's bundled ranges with its pool_seed
+    and solved; rows are in upload order, ready for plotting block size
+    against upload capacity. Sizes must be whole numbers.
     """
     profiles: dict[int, list[tuple[float, float, float]]] = {}
     for size in sorted(set(number(s, int) for s in sizes)):
         pool = generate_peers(
-            size, *pool_ranges(size, upload_ranges, download_ranges), pool_seed(seed, size)
+            size, *pool_ranges(size, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES), pool_seed(seed, size)
         )
         plan = min_bandwidth(pool, stream)
         profiles[size] = [
@@ -314,10 +310,9 @@ def block_size_profile(
     return profiles
 
 
-def default_scenario(cluster_sizes: Sequence[int] | None = None, seed: int = DEFAULT_SEED) -> ScenarioSpec:
-    """The bundled scenario, optionally restricted or reseeded."""
-    data = {"seed": seed} if cluster_sizes is None else {"cluster_sizes": cluster_sizes, "seed": seed}
-    return scenario_from_dict(data)
+def default_scenario(seed: int = DEFAULT_SEED) -> ScenarioSpec:
+    """The bundled scenario, with `seed`; restrict its sizes with _replace or scenario_from_dict."""
+    return scenario_from_dict({"seed": seed})
 
 
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpec:

@@ -306,21 +306,10 @@ def loop_allocated_bandwidth(sorted_peers: Sequence[PeerProfile], params: Stream
     return params.package_size / phase1_budget
 
 
-def reads_as_peer(row: list[str]) -> bool:
-    """Whether a record is 3 fields whose last two float() reads."""
-    if len(row) != 3:
-        return False
-    try:
-        float(row[1]), float(row[2])
-    except ValueError:
-        return False
-    return True
-
-
 def reference_load_peers_csv(path: str) -> list[PeerProfile]:
     """The CSV peer reader that checks every row with cli._peer.
 
-    A first record whose first field is id is the header, unless it reads as a peer.
+    A first record of exactly id,u_bps,d_bps, stripped and in any case, is the header.
     """
     peers = []
     try:
@@ -331,7 +320,7 @@ def reference_load_peers_csv(path: str) -> list[PeerProfile]:
                 line = reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if record == 1 and row[0].strip().lower() == "id" and not reads_as_peer(row):
+                if record == 1 and [field.strip().lower() for field in row] == ["id", "u_bps", "d_bps"]:
                     continue
                 if len(row) != 3:
                     raise ParseInputError(

@@ -103,6 +103,20 @@ class TestSolve:
         assert "total allocated bandwidth: 18000.00 bps\n" in out
         assert "\nid,10000.00,444.444444,4000.00\n" in out
 
+    @pytest.mark.parametrize(
+        "first,message",
+        [
+            ("id,10000", "expected 3 fields id,u_bps,d_bps, got 2"),
+            (" ID ,upload,download", "u_bps and d_bps must be numbers, got 'upload', 'download'"),
+        ],
+        ids=["two-fields", "header-spaced"],
+    )
+    def test_first_record_other_than_the_header_is_read_as_a_row(self, tmp_path, capsys, first, message):
+        path = tmp_path / "first.csv"
+        path.write_text(f"{first}\nb,15000,30000\nc,20000,40000\n", encoding="utf-8")
+        assert main(["solve", "--input", str(path), "--livestream-bps", "10000"]) == 2
+        assert capsys.readouterr() == ("", f"error[parse]: {path}:1: {message}\n")
+
     def test_missing_stream_is_validation_error(self, peers_csv, capsys):
         assert main(["solve", "--input", peers_csv]) == 2
         captured = capsys.readouterr()
@@ -151,7 +165,20 @@ class TestSolve:
         rows = csv_rows(out, newline="")
         assert [len(r) for r in rows] == [5, 5, 5, 5]
         assert [r[0] for r in rows[1:]] == ["a,b", 'c"q', "d"]
-        assert "a,b,10000.00," in capsys.readouterr().out
+        assert '\n"a,b",10000.00,' in capsys.readouterr().out
+
+    def test_stdout_table_quotes_ids_as_the_output_csv_does(self, tmp_path, capsys):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a,x",10000,20000\nb,15000,30000\n"c""q",20000,40000\n', encoding="utf-8")
+        assert main(["solve", "--input", str(path), "--livestream-bps", "10000"]) == 0
+        table = capsys.readouterr().out.split("total allocated bandwidth: 18000.00 bps\n")[1]
+        assert table == (
+            "id,u_bps,s_bits,bw_bps\n"
+            '"a,x",10000.00,444.444444,4000.00\n'
+            "b,15000.00,666.666667,6000.00\n"
+            '"c""q",20000.00,888.888889,8000.00\n'
+        )
+        assert [row[0] for row in csv.reader(table.splitlines())] == ["id", "a,x", "b", 'c"q']
 
     @pytest.mark.parametrize(
         "name,text",
@@ -285,9 +312,19 @@ class TestAdmit:
         code = main(
             ["admit", "--input", peers_csv, "--budget-bps", "9000", "--livestream-bps", "10000"]
         )
-        err = capsys.readouterr().err
         assert code == 3
-        assert "error[insufficient-budget]" in err
+        assert capsys.readouterr() == ("", (
+            "error[insufficient-budget]: budget 9000.00 bps is below the livestream bandwidth "
+            "10000.00 bps; no cluster can be formed\n"
+        ))
+
+    def test_admitting_every_candidate_prints_no_rejected_line(self, peers_csv, capsys):
+        assert main(["admit", "--input", peers_csv, "--budget-bps", "18000", "--livestream-bps", "10000"]) == 0
+        assert capsys.readouterr().out == (
+            "admitted 3 of 3 candidates\n"
+            "allocated bandwidth: 18000.00 bps (budget 18000.00 bps)\n"
+            "efficiency: 100.00%\n"
+        )
 
     @pytest.mark.parametrize(
         "name,text",
@@ -937,17 +974,22 @@ def test_scenario_range_fault_has_the_rule_message(tmp_path, capsys, upload, dow
     assert not out.exists()
 
 
-def test_closed_pipe_exits_1_without_a_traceback():
+def test_closed_pipe_exits_1_without_a_traceback(peers_csv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "acide.cli", "sweep"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    )
-    proc.stdout.close()  # at once, long before the command writes, so every write meets a closed pipe
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    # stdout buffered, as by default: solve's few lines then meet the closed
+    # pipe at the flush in run(), and sweep's table, which outgrows the
+    # buffer, while main() writes.
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["solve", "--input", peers_csv, "--livestream-bps", "10000"], ["sweep"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the command starts, so every write meets a closed pipe
+        try:
+            proc = subprocess.run([sys.executable, "-m", "acide.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (argv[0], proc.returncode, proc.stderr) == (argv[0], 1, b"")
 
 
 # Each command's argv up to --output, {peers} standing for a peer file.

@@ -2,8 +2,8 @@
 
 Each corpus file is read by both; they must return equal peer lists, or both
 raise ParseInputError with the same text. Each row of interest is placed
-both on line 1, where the reader looks for a header, and further down,
-between well-formed rows.
+both on line 1, where the reader looks for the header id,u_bps,d_bps, and
+further down, between well-formed rows.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ ROWS = {
     "header": "id,u_bps,d_bps\n",
     "header-spaced": " ID ,upload,download\n",
     "id-with-numbers": "id,1,2\n",
+    "id-two-fields": "id,10000\n",
     "blank": "\n",
     "spaces-only": "   \n",
     "empty-quoted": '""\n',

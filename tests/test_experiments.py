@@ -6,12 +6,11 @@ import re
 
 import pytest
 
-from acide.core import StreamParams
+from acide.core import StreamParams, min_bandwidth
 from acide import experiments
 from acide.experiments import (
     DEFAULT_BUDGETS,
     DEFAULT_CLUSTER_SIZES,
-    DEFAULT_DOWNLOAD_RANGES,
     DEFAULT_UPLOAD_RANGES,
     ExperimentRecord,
     ScenarioSpec,
@@ -166,9 +165,7 @@ class TestCurve:
 
 class TestBlockSizeProfile:
     def test_rows_sorted_with_equal_ratio(self):
-        profiles = block_size_profile(
-            (5, 120), DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, STREAM, seed=11
-        )
+        profiles = block_size_profile((5, 120), STREAM, seed=11)
         assert set(profiles) == {5, 120}
         for size, rows in profiles.items():
             assert len(rows) == size
@@ -178,21 +175,18 @@ class TestBlockSizeProfile:
             assert all(close(r, ratios[0]) for r in ratios)
 
     def test_block_sizes_grow_with_upload(self):
-        profiles = block_size_profile(
-            (120,), DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, STREAM, seed=12
-        )
+        profiles = block_size_profile((120,), STREAM, seed=12)
         sizes = [s for _, s, _ in profiles[120]]
         assert sizes == sorted(sizes)
 
     def test_fractional_size_refused(self):
         with pytest.raises(ValueError, match="whole number, got 5.7"):
-            block_size_profile((5.7,), DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES, STREAM, seed=11)
+            block_size_profile((5.7,), STREAM, seed=11)
 
     def test_equal_uploads_split_evenly(self):
-        profiles = block_size_profile(
-            (4,), {4: (15000.0, 15000.0)}, {4: (20000.0, 20000.0)}, STREAM, seed=13
-        )
-        assert all(close(s, 500.0) for _, s, _ in profiles[4])
+        # Custom ranges are profiled as one generate_peers and one min_bandwidth call.
+        plan = min_bandwidth(generate_peers(4, (15000.0, 15000.0), (20000.0, 20000.0), seed=13), STREAM)
+        assert all(close(s, 500.0) for s in plan.block_sizes)
 
 
 class TestScenarioIO:
@@ -246,7 +240,7 @@ class TestCsvWriters:
         assert lines[2].startswith("2,15000.00,666.666667,")
 
     def test_byte_identical_across_runs(self):
-        spec = default_scenario(cluster_sizes=(5, 10), seed=77)
+        spec = scenario_from_dict({"cluster_sizes": [5, 10], "seed": 77})
         outputs = []
         for _ in range(2):
             buf = io.StringIO()
@@ -330,10 +324,10 @@ class TestDefaultScenarioSizes:
     )
     def test_size_without_default_ranges_is_a_value_error(self, sizes, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            default_scenario(cluster_sizes=sizes)
+            scenario_from_dict({"cluster_sizes": sizes})
 
     def test_sizes_with_ranges_keep_only_their_ranges(self):
-        spec = default_scenario(cluster_sizes=(10, 5))
+        spec = scenario_from_dict({"cluster_sizes": [10, 5]})
         assert spec.cluster_sizes == (10, 5)
         assert set(spec.upload_ranges) == set(spec.download_ranges) == {5, 10}
 
@@ -362,6 +356,7 @@ POOL_FAULTS = {
     ),
     "fractional": (5.7, GOOD_UPLOAD, GOOD_DOWNLOAD, "expected a whole number, got 5.7"),
 }
+SIZE_FAULTS = ("size-0", "size-minus-3", "no-ranges", "fractional")
 
 
 def _given(size, upload, download, key=int):
@@ -382,9 +377,7 @@ POOL_ENTRIES = {
     "admitted_vs_budget_curve": lambda size, up, down: admitted_vs_budget_curve(
         size, 10000.0, seed=1, upload_range=up, download_range=down
     ),
-    "block_size_profile": lambda size, up, down: block_size_profile(
-        (size,), **_given(size, up, down), stream=STREAM, seed=1
-    ),
+    "block_size_profile": lambda size, up, down: block_size_profile((size,), STREAM, seed=1),
 }
 
 
@@ -395,9 +388,11 @@ POOL_ENTRIES = {
         for fault, (_, upload, download, _) in POOL_FAULTS.items()
         for entry in POOL_ENTRIES
         # generate_peers takes both ranges as arguments, so neither can be missing,
-        # and a file's fractional size is a malformed scenario (test_cli covers it).
+        # a file's fractional size is a malformed scenario (test_cli covers it),
+        # and block_size_profile takes no ranges, so only the size faults reach it.
         if (entry != "generate_peers" or None not in (upload, download))
         and (entry != "scenario_from_dict" or fault != "fractional")
+        and (entry != "block_size_profile" or fault in SIZE_FAULTS)
     ],
 )
 def test_pool_fault_has_one_message(fault, entry):
@@ -440,6 +435,6 @@ def test_sweep_draws_a_repeated_size_once(monkeypatch):
         return generate_peers(size, *args)
 
     monkeypatch.setattr(experiments, "generate_peers", counting)
-    records = run_admission_sweep(default_scenario(cluster_sizes=(5, 5, 10), seed=3))
+    records = run_admission_sweep(scenario_from_dict({"cluster_sizes": [5, 5, 10], "seed": 3}))
     assert drawn == [5, 10]
-    assert records == run_admission_sweep(default_scenario(cluster_sizes=(5, 10), seed=3))
+    assert records == run_admission_sweep(scenario_from_dict({"cluster_sizes": [5, 10], "seed": 3}))

@@ -1,9 +1,9 @@
 """Property tests: the bandwidths a peer accepts, bisected admission and its
 candidate rule, the canonical upload sum, one answer for a pool in any
 order, closed-form block sizes, the closed-form simulation and the CSV peer
-reader against oracles, the plan rule on every plan min_bandwidth returns,
-a plan for every cluster validate_cluster accepts, and a drawn pool as one
-batch of draws.
+reader against oracles, a lone peer's completion, a curve's end points, the
+plan rule on every plan min_bandwidth returns, a plan for every cluster
+validate_cluster accepts, and a drawn pool as one batch of draws.
 
 Uploads span 1e-3 to 1e12 bps (1e-300 to 1e308 for the plan rule, and any
 positive finite float for drawn pools), pools run from a single peer up,
@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from acide.core import (
     upload_total,
     validate_cluster,
 )
-from acide.experiments import generate_peers
+from acide.experiments import admitted_vs_budget_curve, generate_peers
 from acide.output import plan_document
 from acide.sim import simulate
 from oracles import (
@@ -324,6 +325,30 @@ def test_simulation_matches_the_event_replay(uploads, rate_share, scale, hand_bu
         assert trace.completion_times == completion
         assert trace.makespan == makespan
         assert trace.events == events
+
+
+@PROPERTY
+@given(upload=bandwidths, size=bandwidths, rate=bandwidths)
+def test_a_lone_peer_completes_when_its_block_arrives(upload, size, rate):
+    # The ring formula would give (t2 - L) + L, which can miss t2 = size / rate in its last bit.
+    plan = AllocationPlan((PeerProfile("a", upload, upload),), (size,), (rate,), rate, size / rate, 0.0)
+    trace = simulate(plan)
+    assert (trace.completion_times, trace.makespan) == ({"a": size / rate}, size / rate)
+
+
+@PROPERTY
+@given(size=st.integers(2, 40), seed=st.integers(0, 2**32), ends=st.lists(bandwidths, min_size=4, max_size=4),
+       rate=bandwidths)
+def test_a_curve_runs_from_the_stream_rate_to_the_largest_feasible_group(size, seed, ends, rate):
+    u_low, u_high, d_low, d_high = sorted(ends)
+    curve = admitted_vs_budget_curve(size, rate, seed, (u_low, u_high), (d_low, d_high))
+    pool = generate_peers(size, (u_low, u_high), (d_low, d_high), seed)
+    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
+    # The largest group with a finite price: every finite price is at most the largest float.
+    removed = linear_suffix_scan(pool, stream, sys.float_info.max)
+    assert len(curve) == size
+    assert curve[0][0] == stream.livestream_bandwidth
+    assert curve[-1] == (requirement([p.upload for p in pool[removed:]], stream), size - removed)
 
 
 # Log-uniform over the whole positive float range, as far as 10.0 ** e stays finite.

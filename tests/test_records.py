@@ -19,7 +19,13 @@ from acide.core import (
     min_bandwidth,
     validate_cluster,
 )
-from acide.experiments import ExperimentRecord, ScenarioSpec, default_scenario, run_admission_sweep
+from acide.experiments import (
+    ExperimentRecord,
+    ScenarioSpec,
+    default_scenario,
+    run_admission_sweep,
+    scenario_from_dict,
+)
 from acide.output import RECORD_COLUMNS, table_dicts
 from acide.sim import PlaybackReport, SimulationTrace, playback_check, simulate
 
@@ -128,7 +134,7 @@ def test_admission_budget_replace_and_make_check_the_new_values():
         AdmissionBudget._make([math.nan, PEERS, STREAM])
 
 
-SPEC = default_scenario(cluster_sizes=(5,), seed=3)
+SPEC = scenario_from_dict({"cluster_sizes": [5], "seed": 3})
 SCENARIO_FIELDS = (
     "cluster_sizes", "upload_ranges", "download_ranges", "delay_bound",
     "livestream_bandwidths", "budgets", "seed",
@@ -192,8 +198,8 @@ def test_sweep_record_attributes_cannot_be_assigned(cls, fields, values):
 
 
 def test_scenario_spec_equal_but_unhashable():
-    assert default_scenario(cluster_sizes=(5,), seed=3) == SPEC
-    assert default_scenario(cluster_sizes=(5,), seed=4) != SPEC
+    assert scenario_from_dict({"cluster_sizes": [5], "seed": 3}) == SPEC
+    assert scenario_from_dict({"cluster_sizes": [5], "seed": 4}) != SPEC
     with pytest.raises(TypeError):
         hash(SPEC)  # its ranges are dicts
 
