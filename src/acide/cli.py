@@ -22,19 +22,18 @@ import sys
 from contextlib import nullcontext
 from functools import partial
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from acide.core import (
     DEFAULT_DELAY_BOUND,
     DEFAULT_SEED,
-    AllocationPlan,
     ClusterRefused,
     InsufficientBudgetError,
     PeerProfile,
     StreamParams,
     min_bandwidth,
     number,
-    validate_cluster,
 )
 
 if TYPE_CHECKING:
@@ -199,15 +198,6 @@ def _resolve_stream(args: argparse.Namespace) -> StreamParams:
     return StreamParams(package_size=package, delay_bound=delay_s)
 
 
-def _planned(args: argparse.Namespace) -> tuple[AllocationPlan, StreamParams]:
-    """The input's plan from min_bandwidth and its stream; ClusterRefused names every broken cluster rule."""
-    peers = _load_peer_input(args.input)
-    stream = _resolve_stream(args)
-    if violations := validate_cluster(peers, stream).violations:
-        raise ClusterRefused(violations)
-    return min_bandwidth(peers, stream), stream
-
-
 def _fmt_bw(x: float) -> str:
     return f"{x:.2f}"
 
@@ -226,7 +216,7 @@ def _with_output(args: argparse.Namespace, lines: list[str], table: Callable[...
 
 
 def _cmd_solve(args: argparse.Namespace) -> Result:
-    plan, _ = _planned(args)
+    plan = min_bandwidth(_load_peer_input(args.input), _resolve_stream(args))
     table = io.StringIO()  # through csv.writer, so ids are quoted as in the --output CSV
     writer = csv.writer(table, lineterminator="\n")
     writer.writerow(("id", "u_bps", "s_bits", "bw_bps"))
@@ -255,7 +245,9 @@ def _cmd_admit(args: argparse.Namespace) -> Result:
         f"efficiency: {outcome.efficiency * 100.0:.2f}%",
     ]
     if outcome.rejected:
-        lines.append(f"rejected: {', '.join(p.id for p in outcome.rejected)}")
+        # Each id a CSV field as in solve's table (writerow returns what write returns), joined by ", ".
+        field = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        lines.append("rejected: " + ", ".join(field([p.id]).removesuffix("\n") for p in outcome.rejected))
     return _with_output(args, lines, lambda output: (
         output.PLAN_COLUMNS, partial(output.plan_rows, outcome.plan),
         partial(output.outcome_document, outcome)))
@@ -264,8 +256,9 @@ def _cmd_admit(args: argparse.Namespace) -> Result:
 def _cmd_simulate(args: argparse.Namespace) -> Result:
     from acide.sim import playback_check, simulate
 
-    plan, stream = _planned(args)
-    trace = simulate(plan)
+    peers = _load_peer_input(args.input)
+    stream = _resolve_stream(args)
+    trace = simulate(min_bandwidth(peers, stream))
     report = playback_check(trace, stream)
     lines = [
         f"playback: {'continuous' if report.continuous else 'VIOLATION'}",

@@ -29,12 +29,11 @@ ABS_TOL = 1e-12
 DEFAULT_SEED = 42
 DEFAULT_DELAY_BOUND = 0.2  # seconds
 
-# Violation codes reported by validate_cluster.
+# Violation codes, in the order they are reported: the per-peer rules, then a plan's rules.
 DUPLICATE_ID = "duplicate-id"
 UPLOAD_OVER_DOWNLOAD = "upload-over-download"
-STREAM_OVER_CLUSTER_DOWNLOAD = "stream-over-cluster-download"
 UPLOAD_OVER_MIN_DOWNLOAD = "upload-over-min-download"
-STREAM_OVER_MEAN_UPLOAD = "stream-over-mean-upload"
+RATE_OVER_DOWNLOAD = "rate-over-download"
 
 
 def number(value, kind: type = float):
@@ -51,13 +50,6 @@ def number(value, kind: type = float):
         return kind(value)
     except OverflowError as exc:  # an int beyond the range of a float
         raise ValueError(str(exc)) from None
-
-
-def _repeated_ids(ids: list[str]) -> str | None:
-    """The duplicate-id message, naming the repeated ids in sorted order; None when all differ."""
-    if len(set(ids)) == len(ids):
-        return None
-    return f"peer id(s) given more than once: {', '.join(sorted(i for i, k in Counter(ids).items() if k > 1))}"
 
 
 class _CheckedRecord:
@@ -83,7 +75,7 @@ class PeerProfile(_CheckedRecord, _PeerFields):
     Both capacities must be positive and finite, else ValueError naming the
     peer; copies made with _replace or _make are checked like new values.
     The cluster rules, an upload above the download among them, are left to
-    validate_cluster, so that a broken input is diagnosed as a whole.
+    AllocationPlan, so that a broken input is diagnosed as a whole.
     """
 
     __slots__ = ()
@@ -154,8 +146,10 @@ class AllocationPlan(_CheckedRecord, _PlanFields):
       total_bandwidth >= livestream bandwidth, equality iff n == 1
 
     Every plan, a copy made with _replace or _make included, has at least one
-    peer, one block size and one rate per peer, every size and rate positive
-    and finite, and no two peers sharing an id, else ValueError.
+    peer and one block size and rate per peer, each positive and finite, else
+    ValueError, unless a per-peer rule is broken. It keeps the cluster rules,
+    else ClusterRefused names each one broken, per-peer rules first. Every
+    plan acide makes passes here.
     """
 
     __slots__ = ()
@@ -172,14 +166,14 @@ class AllocationPlan(_CheckedRecord, _PlanFields):
                 f"plan is inconsistent: {n} peers, {len(block_sizes)} block sizes, "
                 f"{len(peer_bandwidths)} bandwidths"
             )
+        violations = _peer_violations(peers)
         inf = math.inf
         for peer, size, rate in zip(peers, block_sizes, peer_bandwidths):
             # Written as ranges so that NaN fails too, which min() and max() would skip.
-            if not (0 < size < inf and 0 < rate < inf):
+            if not (0 < size < inf and 0 < rate < inf) and not violations:
                 raise ValueError(f"block size or rate is not positive and finite for peer {peer.id}")
-        # sim.simulate keys completion times by id, so a repeated id would hide a peer.
-        if repeated := _repeated_ids([peer.id for peer in peers]):
-            raise ValueError(repeated)
+        if violations := violations + _plan_violations(peers, peer_bandwidths):
+            raise ClusterRefused(violations)
         return super().__new__(cls, peers, block_sizes, peer_bandwidths, total_bandwidth, phase1_time, phase2_time)
 
 
@@ -189,7 +183,7 @@ class AssumptionViolation(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    """Outcome of validate_cluster: empty violations means the cluster is usable."""
+    """Outcome of validate_cluster: empty violations means no cluster rule is broken."""
 
     violations: tuple[AssumptionViolation, ...]
 
@@ -211,7 +205,7 @@ class InsufficientBudgetError(ValueError):
 
 
 class ClusterRefused(ValueError):
-    """A peer list that breaks cluster assumptions: violations, in validate_cluster's order."""
+    """A peer list that breaks cluster rules: its violations in code order, each naming its peers sorted."""
 
     def __init__(self, violations: Iterable[AssumptionViolation]) -> None:
         self.violations = tuple(violations)
@@ -219,57 +213,50 @@ class ClusterRefused(ValueError):
 
 
 def _peer_violations(peers: Sequence[PeerProfile]) -> list[AssumptionViolation]:
-    """Violations of validate_cluster's per-peer rules, the only ones AdmissionBudget applies."""
+    """Violations of the per-peer rules, the only ones AdmissionBudget applies to its candidates."""
     violations: list[AssumptionViolation] = []
-    if repeated := _repeated_ids([p.id for p in peers]):
-        violations.append(AssumptionViolation(DUPLICATE_ID, repeated))
-    if bad := [p.id for p in peers if p.upload > p.download]:
+    ids = [p.id for p in peers]
+    if len(set(ids)) < len(ids):  # sim.simulate keys completion times by id, so a repeat would hide a peer
+        repeated = ", ".join(sorted(i for i, k in Counter(ids).items() if k > 1))
+        violations.append(AssumptionViolation(DUPLICATE_ID, f"peer id(s) given more than once: {repeated}"))
+    if bad := sorted(p.id for p in peers if p.upload > p.download):
         violations.append(AssumptionViolation(UPLOAD_OVER_DOWNLOAD, (
             f"upload exceeds download for peer(s): {', '.join(bad)}")))
     return violations
 
 
+def _plan_violations(peers: Sequence[PeerProfile], rates: Sequence[float]) -> list[AssumptionViolation]:
+    """Violations of a plan's rules: every peer can absorb every block, its own at its phase-1 rate."""
+    violations: list[AssumptionViolation] = []
+    top_upload = max(p.upload for p in peers)
+    least_download = min(p.download for p in peers)
+    if top_upload > least_download:
+        violations.append(AssumptionViolation(UPLOAD_OVER_MIN_DOWNLOAD, (
+            f"largest upload {top_upload:.2f} bps exceeds smallest download "
+            f"{least_download:.2f} bps, so some peer cannot absorb another's block")))
+    if over := sorted(p.id for p, rate in zip(peers, rates) if rate > p.download):
+        violations.append(AssumptionViolation(RATE_OVER_DOWNLOAD, (
+            f"phase-1 rate exceeds download for peer(s): {', '.join(over)}")))
+    return violations
+
+
 def validate_cluster(peers: Iterable[PeerProfile], params: StreamParams) -> ValidationReport:
-    """Check the cluster assumptions and report every violated condition.
+    """The violations AllocationPlan refuses min_bandwidth's plan for these peers with.
 
-    Report-only: never raises for a bad cluster, only for an empty peer list.
-    PeerProfile itself refuses a bandwidth that is not positive and finite.
-    Checked conditions, in order:
-
-      * no two peers share an id
-      * every peer's upload is at most its download
-      * the livestream bandwidth is strictly below the cluster's download total
-      * every peer's upload is at most every peer's download
-        (equivalently max upload <= min download)
-      * the livestream bandwidth is at most the mean upload; above it the
-        cluster costs at least as much as unicasting the stream to each peer
-
-    Both totals are summed in ascending order, as min_bandwidth sums the
-    uploads, so the verdict is the same in any order of the peers.
+    Report-only: raises only for an empty peer list. When no plan exists at
+    all (no feasible allocation, or a block or rate that is not positive and
+    finite), only the per-peer rules are reported.
     """
     peer_list = list(peers)
     if not peer_list:
         raise ValueError("validate_cluster requires a non-empty peer list")
-    rate = params.livestream_bandwidth
-    uploads = sorted(p.upload for p in peer_list)
-    downloads = sorted(p.download for p in peer_list)
-    violations = _peer_violations(peer_list)
-    total_download = upload_total(downloads)
-    if rate >= total_download:
-        violations.append(AssumptionViolation(STREAM_OVER_CLUSTER_DOWNLOAD, (
-            f"livestream bandwidth {rate:.2f} bps is not below the cluster "
-            f"download total {total_download:.2f} bps")))
-    if uploads[-1] > downloads[0]:
-        violations.append(AssumptionViolation(UPLOAD_OVER_MIN_DOWNLOAD, (
-            f"largest upload {uploads[-1]:.2f} bps exceeds smallest download "
-            f"{downloads[0]:.2f} bps, so some peer cannot absorb another's block")))
-    mean_upload = upload_total(uploads) / len(uploads)
-    if rate > mean_upload:
-        violations.append(AssumptionViolation(STREAM_OVER_MEAN_UPLOAD, (
-            f"livestream bandwidth {rate:.2f} bps exceeds the mean upload "
-            f"{mean_upload:.2f} bps: the cluster costs at least as much as "
-            f"unicasting the stream to each of its {len(uploads)} peer(s)")))
-    return ValidationReport(tuple(violations))
+    try:
+        min_bandwidth(peer_list, params)
+    except ClusterRefused as refused:
+        return ValidationReport(refused.violations)
+    except ValueError:  # no plan exists; min_bandwidth would have named a broken per-peer rule
+        pass
+    return ValidationReport(())
 
 
 def sort_peers(peers: Iterable[PeerProfile]) -> list[PeerProfile]:
@@ -283,7 +270,7 @@ def upload_total(uploads: Iterable[float]) -> float:
     Every requirement and plan is priced with it over ascending uploads, so
     a set costs the same float wherever it is priced. Not sum(), which from
     Python 3.12 compensates its rounding and would give other floats than
-    earlier interpreters. validate_cluster sums sorted downloads with it too.
+    earlier interpreters.
     """
     return reduce(add, uploads, 0.0)
 
@@ -313,7 +300,8 @@ def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> Allocat
 
     Raises ValueError when no allocation can meet the delay bound, that is when
     the n-1 exchange steps alone take T <= (n-1)*S/sum_uploads, and for a plan
-    AllocationPlan refuses (an overflow, a 0-bit block, a repeated id).
+    AllocationPlan refuses (an overflow, a 0-bit block), ClusterRefused when it
+    breaks a cluster rule. A broken per-peer rule is named even when no plan exists.
     """
     ordered = sort_peers(peers)
     if not ordered:
@@ -324,6 +312,8 @@ def min_bandwidth(peers: Iterable[PeerProfile], params: StreamParams) -> Allocat
     phase2 = (n - 1) * params.package_size / sum_upload
     phase1 = params.delay_bound - phase2
     if phase1 <= 0:
+        if refused := _peer_violations(ordered):
+            raise ClusterRefused(refused)
         raise ValueError(
             f"no feasible allocation for n={n} peers with total upload {sum_upload:.2f} bps: "
             f"livestream bandwidth {params.livestream_bandwidth:.2f} bps exceeds what the "

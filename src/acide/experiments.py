@@ -220,8 +220,8 @@ def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
     One candidate pool is drawn per cluster size (see pool_seed) and reused
     across every stream rate and budget, so trends within a size are not
     confounded by new draws. The pools come out of generate_peers sorted by
-    upload, so each cell admits the suffix join_cluster would, found by one
-    bisection. Records come out ordered: size ascending, stream rate
+    upload, so each cell admits the longest suffix that fits by cost, found by
+    one bisection. Records come out ordered: size ascending, stream rate
     ascending, budget descending. A budget below the livestream bandwidth
     admits nobody and is recorded with n_admitted = 0.
     """
@@ -263,7 +263,7 @@ def admitted_vs_budget_curve(
     admits nobody) up to the bandwidth of the largest admissible group, with
     one grid point per candidate, endpoints included. The pool comes out of
     generate_peers sorted by upload, so each point's n is one bisection over
-    its suffixes, as in join_cluster. The resulting n values are
+    its suffixes by cost, as join_cluster first tries. The n values are
     non-decreasing in the budget. Ranges default to the bundled per-size
     ranges.
     """

@@ -168,9 +168,12 @@ def brute_force_admission(budget: AdmissionBudget) -> AdmissionOutcome:
     """Exhaustive admission oracle for small candidate pools.
 
     Enumerates every non-empty subset, keeps those whose optimal bandwidth is
-    feasible and within budget, and returns the best by (max cardinality,
-    min bandwidth, lexicographically smallest sorted id list). Deterministic,
-    and exponential: refuses more than MAX_ORACLE_CANDIDATES candidates.
+    feasible and within budget and whose plan AllocationPlan accepts, and
+    returns the best by (max cardinality, min bandwidth, lexicographically
+    smallest sorted id list). Deterministic, and exponential: refuses more
+    than MAX_ORACLE_CANDIDATES candidates. Raises InsufficientBudgetError
+    when the budget is below the stream rate, and ValueError when no subset
+    within the budget has an accepted plan.
 
     Subsets are taken from the upload-sorted candidate list so each set's
     bandwidth is summed in canonical order; a set's cost is then the same
@@ -185,28 +188,52 @@ def brute_force_admission(budget: AdmissionBudget) -> AdmissionOutcome:
             f"{n} candidates exceeds the cap of {MAX_ORACLE_CANDIDATES}"
         )
     cap = budget.given_allocated_bandwidth
+    if cap < budget.stream.livestream_bandwidth:
+        raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
     best_key: tuple[int, float, tuple[str, ...]] | None = None
-    best_subset: list[PeerProfile] | None = None
+    best_plan: AllocationPlan | None = None
     for mask in range(1, 1 << n):
         subset = [candidates[i] for i in range(n) if mask >> i & 1]
         required = allocated_bandwidth(subset, budget.stream)
         if required > cap:
             continue
         key = (-len(subset), required, tuple(sorted(p.id for p in subset)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_subset = subset
-    if best_subset is None:
-        raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
-    plan = min_bandwidth(best_subset, budget.stream)
-    chosen = {p.id for p in best_subset}
-    rejected = tuple(p for p in candidates if p.id not in chosen)
+        if best_key is not None and key >= best_key:
+            continue
+        try:
+            plan = min_bandwidth(subset, budget.stream)
+        except ValueError:  # a plan rule is broken, or a block or rate is not positive and finite
+            continue
+        best_key, best_plan = key, plan
+    if best_plan is None:
+        raise ValueError("no subset within the budget has a plan that keeps the cluster rules")
+    chosen = {p.id for p in best_plan.peers}
     return AdmissionOutcome(
-        admitted=plan.peers,
-        plan=plan,
-        efficiency=plan.total_bandwidth / cap,
-        rejected=rejected,
+        admitted=best_plan.peers,
+        plan=best_plan,
+        efficiency=best_plan.total_bandwidth / cap,
+        rejected=tuple(p for p in candidates if p.id not in chosen),
     )
+
+
+def assert_plan_keeps_the_rules(document: dict, package_size: float, delay_bound: float) -> None:
+    """A plan document (output.plan_document's form) against the cluster rules, exactly.
+
+    Every upload is at most every download (u_i <= d_j), and every phase-1
+    rate at most its own peer's download (bw_i <= d_i), compared as the floats
+    the document holds, pair by pair. The block sizes, summed as Fractions,
+    give the package size, and the two phases fill the delay bound, each to a
+    relative 1e-9.
+    """
+    peers = document["peers"]
+    for sender in peers:
+        for receiver in peers:
+            assert sender["u_bps"] <= receiver["d_bps"], (sender, receiver)
+    for peer, rate in zip(peers, document["peer_bandwidths_bps"], strict=True):
+        assert rate <= peer["d_bps"], (peer, rate)
+    blocks = sum(map(Fraction, document["block_bits"]), Fraction(0))
+    assert abs(blocks - Fraction(package_size)) <= Fraction(package_size) / 10**9
+    assert math.isclose(document["phase1_s"] + document["phase2_s"], delay_bound, rel_tol=1e-9)
 
 
 def admitted_upper_bound(candidates: Sequence[PeerProfile], stream: StreamParams, bw: float) -> float:

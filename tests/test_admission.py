@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
 from acide.core import (
     DUPLICATE_ID,
+    RATE_OVER_DOWNLOAD,
     UPLOAD_OVER_DOWNLOAD,
     AssumptionViolation,
     ClusterRefused,
@@ -17,7 +18,14 @@ from acide.core import (
     StreamParams,
     sort_peers,
 )
-from oracles import admitted_upper_bound, allocated_bandwidth, brute_force_admission, close
+from acide.output import plan_document
+from oracles import (
+    admitted_upper_bound,
+    allocated_bandwidth,
+    assert_plan_keeps_the_rules,
+    brute_force_admission,
+    close,
+)
 
 STREAM = StreamParams(package_size=2000.0, delay_bound=0.2)
 
@@ -58,10 +66,11 @@ def near_suffix_costs(pool, stream):
 
 
 def admitted_count(pool, budget, stream):
-    """How many peers join_cluster admits; a budget below the stream rate admits none."""
+    """How many peers join_cluster admits; a budget below the stream rate, or a pool no set of which
+    keeps the cluster rules, admits none."""
     try:
         return len(join_cluster(AdmissionBudget(budget, pool, stream)).admitted)
-    except InsufficientBudgetError:
+    except (InsufficientBudgetError, ClusterRefused):
         return 0
 
 
@@ -177,6 +186,84 @@ class TestJoinCluster:
         first = share * data.draw(st.floats(0.8, 1.25))
         low, high = sorted((first, data.draw(st.floats(0.8, 1.25).map(share.__mul__) | step_ups.map(first.__mul__))))
         assert admitted_count(pool, budget, stream_at(pool, low)) >= admitted_count(pool, budget, stream_at(pool, high))
+
+
+class TestClusterRules:
+    """Admission admits only a set whose plan keeps the cluster rules, the largest and cheapest such set."""
+
+    def test_leaves_out_the_peer_that_breaks_the_chain_rule(self):
+        # The top-3 plan sends a's 50000 bps upload to b's 30000 bps download.
+        pool = (peer("a", 50000.0, 60000.0), peer("b", 20000.0, 30000.0), peer("c", 25000.0, 40000.0))
+        outcome = join_cluster(AdmissionBudget(40000.0, pool, STREAM))
+        assert [p.id for p in outcome.admitted] == ["b", "c"]
+        assert [p.id for p in outcome.rejected] == ["a"]
+        assert outcome.plan.total_bandwidth == allocated_bandwidth(sort_peers(pool[1:]), STREAM)
+        assert f"{outcome.plan.total_bandwidth:.2f}" == "12857.14"
+
+    def test_a_set_of_the_best_size_with_less_bandwidth_is_found(self):
+        # Three peers fit the budget, not four. The five a's form the largest set
+        # that keeps the chain rule, but the three b's cost less.
+        pool = (
+            *(peer(f"a{i}", 10000.0, 20000.0) for i in range(5)),
+            *(peer(f"b{i}", 30000.0, 40000.0) for i in range(3)),
+            peer("c", 45000.0, 50000.0),
+        )
+        outcome = join_cluster(AdmissionBudget(35000.0, pool, STREAM))
+        assert [p.id for p in outcome.admitted] == ["b0", "b1", "b2"]
+        assert len(brute_force_admission(AdmissionBudget(35000.0, pool, STREAM)).admitted) == 3
+        assert f"{outcome.plan.total_bandwidth:.2f}" == "12857.14"
+
+    def test_a_pool_no_set_of_which_keeps_the_rules_is_refused_by_its_top_plan(self):
+        # A lone peer takes the whole stream in phase 1, 10000 bps into a 6000 bps download.
+        with pytest.raises(ClusterRefused) as err:
+            join_cluster(AdmissionBudget(10000.0, (peer("a", 5000.0, 6000.0),), STREAM))
+        assert err.value.violations == (
+            AssumptionViolation(RATE_OVER_DOWNLOAD, "phase-1 rate exceeds download for peer(s): a"),
+        )
+        with pytest.raises(InsufficientBudgetError):
+            join_cluster(AdmissionBudget(9999.0, (peer("a", 5000.0, 6000.0),), STREAM))
+
+    def test_a_peer_whose_block_rounds_to_0_bits_is_left_out(self):
+        pool = (peer("a", 1e-300, 1e301), peer("b", 1e300, 1e301))
+        outcome = join_cluster(AdmissionBudget(1e6, pool, STREAM))
+        assert [p.id for p in outcome.admitted] == ["b"]
+        assert outcome.plan.total_bandwidth == 10000.0
+
+
+@st.composite
+def tight_pools(draw):
+    """1..10 peers with d = u*U[1, 1.5], so that the chain rule often breaks and the rate rule often binds.
+
+    Some uploads repeat, so that sets tie, and the ids run against the upload order.
+    """
+    values = draw(st.lists(st.floats(1e3, 1e5), min_size=1, max_size=10))
+    uploads = draw(st.lists(st.sampled_from(values), min_size=1, max_size=10)) if draw(st.booleans()) else values
+    n = len(uploads)
+    return tuple(PeerProfile(f"p{n - i:02d}", u, u * draw(st.floats(1.0, 1.5))) for i, u in enumerate(uploads))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pool=tight_pools(), share=st.floats(0.3, 2.0), data=st.data())
+def test_join_cluster_admits_what_a_brute_force_admits(pool, share, data):
+    stream = stream_at(pool, share)
+    rate = stream.livestream_bandwidth
+    cap = data.draw(near_suffix_costs(pool, stream) | st.floats(0.9 * rate, len(pool) * 4 * rate))
+    budget = AdmissionBudget(cap, pool, stream)
+    try:
+        want = brute_force_admission(budget)
+    except InsufficientBudgetError:
+        with pytest.raises(InsufficientBudgetError):
+            join_cluster(budget)
+        return
+    except ValueError:  # no set within the budget keeps the rules
+        with pytest.raises(ClusterRefused):
+            join_cluster(budget)
+        return
+    got = join_cluster(budget)
+    assert len(got.admitted) == len(want.admitted)
+    assert got.plan.total_bandwidth == want.plan.total_bandwidth
+    assert sort_peers(got.admitted + got.rejected) == sort_peers(pool)
+    assert_plan_keeps_the_rules(plan_document(got.plan), stream.package_size, stream.delay_bound)
 
 
 class TestAdmittedUpperBound:

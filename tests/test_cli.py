@@ -132,10 +132,42 @@ class TestSolve:
         assert "error[validation:upload-over-download]" in err
 
     def test_infeasible_cluster_reported(self, peers_csv, capsys):
+        # At 20 kbps phase 1 lasts 1/45 s, so every block goes faster than its peer's download.
         code = main(["solve", "--input", peers_csv, "--livestream-bps", "20000"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error[validation:stream-over-mean-upload]" in err
+        assert err == "error[validation:rate-over-download]: phase-1 rate exceeds download for peer(s): a, b, c\n"
+
+    @pytest.mark.parametrize("command", [["solve"], ["admit", "--budget-bps", "10000"]], ids=["solve", "admit"])
+    def test_a_rate_above_a_download_is_refused(self, tmp_path, capsys, command):
+        # A lone peer gets the whole package at the stream rate, 10000 bps into a 6000 bps download.
+        path = tmp_path / "slow.csv"
+        path.write_text("a,5000,6000\n", encoding="utf-8")
+        assert main([*command, "--input", str(path), "--livestream-bps", "10000"]) == 2
+        assert capsys.readouterr() == (
+            "", "error[validation:rate-over-download]: phase-1 rate exceeds download for peer(s): a\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rows,total",
+        [("a,6000,40000\nb,6000,40000\n", "60000.00"), ("solo,10000,10000\n", "10000.00")],
+        ids=["above-the-mean-upload", "rate-at-the-download"],
+    )
+    def test_a_cluster_whose_rates_fit_its_downloads_is_planned(self, tmp_path, capsys, rows, total):
+        path = tmp_path / "peers.csv"
+        path.write_text(rows, encoding="utf-8")
+        assert main(["solve", "--input", str(path), "--livestream-bps", "10000"]) == 0
+        assert f"\ntotal allocated bandwidth: {total} bps\n" in capsys.readouterr().out
+
+    def test_no_feasible_allocation_is_reported(self, tmp_path, capsys):
+        # Two 10000 bps uploads cannot redistribute a 32000 bps stream within 200 ms.
+        path = tmp_path / "peers.csv"
+        path.write_text("a,10000,1e9\nb,10000,1e9\n", encoding="utf-8")
+        assert main(["solve", "--input", str(path), "--livestream-bps", "32000"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error[validation]: no feasible allocation for n=2 peers with total upload 20000.00 bps: "
+            "livestream bandwidth 32000.00 bps exceeds what the cluster can redistribute within the delay bound\n"
+        ))
 
     def test_parse_error_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"
@@ -317,6 +349,37 @@ class TestAdmit:
             "error[insufficient-budget]: budget 9000.00 bps is below the livestream bandwidth "
             "10000.00 bps; no cluster can be formed\n"
         ))
+
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            ('"x, y",10000,20000\nb,15000,30000\nc,20000,40000\n', 'rejected: "x, y"'),
+            ("x,10000,20000\ny,10500,20000\nb,15000,30000\nc,20000,40000\n", "rejected: x, y"),
+        ],
+        ids=["one-id-with-a-comma", "two-ids"],
+    )
+    def test_rejected_ids_are_quoted_as_csv_fields(self, tmp_path, capsys, rows, line):
+        path = tmp_path / "peers.csv"
+        path.write_text(rows, encoding="utf-8")
+        assert main(["admit", "--input", str(path), "--budget-bps", "15000", "--livestream-bps", "10000"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"\n{line}\n")
+        assert out.startswith("admitted 2 of ")
+
+    def test_admits_only_a_set_that_keeps_the_chain_rule(self, tmp_path, capsys):
+        # The top three would send a's 50000 bps upload into b's 30000 bps download.
+        path = tmp_path / "chain.csv"
+        path.write_text("a,50000,60000\nb,20000,30000\nc,25000,40000\n", encoding="utf-8")
+        assert main(["admit", "--input", str(path), "--budget-bps", "40000", "--livestream-bps", "10000"]) == 0
+        assert capsys.readouterr() == (
+            "admitted 2 of 3 candidates\n"
+            "allocated bandwidth: 12857.14 bps (budget 40000.00 bps)\n"
+            "efficiency: 32.14%\n"
+            "rejected: a\n",
+            "",
+        )
+        assert main(["solve", "--input", str(path), "--livestream-bps", "10000"]) == 2
+        assert capsys.readouterr().err.startswith("error[validation:upload-over-min-download]: ")
 
     def test_admitting_every_candidate_prints_no_rejected_line(self, peers_csv, capsys):
         assert main(["admit", "--input", peers_csv, "--budget-bps", "18000", "--livestream-bps", "10000"]) == 0
@@ -589,6 +652,16 @@ class TestCurveAndProfile:
                 assert rows[0] == ["BW_bps", "n"]
                 assert len(rows) == 1 + size
                 assert rows[-1][1] == str(size)
+
+    def test_profile_refuses_a_plan_whose_rates_exceed_the_downloads(self, tmp_path, capsys):
+        # At 16 kbps the size-5 pool's phase 1 is so short that every block goes faster than 30000 bps.
+        out = tmp_path / "profile.csv"
+        assert main(["profile", "--sizes", "5", "--livestream-bps", "16000", "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error[validation:rate-over-download]: phase-1 rate exceeds download for peer(s): "
+            "u001, u002, u003, u004, u005\n"
+        ))
+        assert not (tmp_path / "profile_n5.csv").exists()
 
     def test_profile_files(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
@@ -1082,16 +1155,38 @@ def test_every_command_refuses_a_plan_that_does_not_divide_the_package(tmp_path,
     argv += ["--output", str(out), "--format", "json"] if to_file else []
     code = main(argv)
     captured = capsys.readouterr()
+    if (case, command) == ("block-underflow", "admit"):
+        # Admission leaves a out, and b alone is planned at the stream rate.
+        wrote = f"wrote {out}\n" if to_file else ""
+        assert (code, captured.err) == (0, "")
+        assert captured.out == (
+            "admitted 1 of 2 candidates\nallocated bandwidth: 10000.00 bps (budget 1000000.00 bps)\n"
+            f"efficiency: 1.00%\nrejected: a\n{wrote}"
+        )
+        return
     assert code == 2
     assert captured.err == "error[validation]: block size or rate is not positive and finite for peer a\n"
     assert captured.out == ""
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "admit", "simulate"])
+@pytest.mark.parametrize(
+    "peers,rate",
+    [("a,1e308,1.5e308\na,1.2e308,1.6e308\n", "10000"), ("a,10000,1e9\na,10000,1e9\n", "32000")],
+    ids=["blocks-overflow", "no-feasible-allocation"],
+)
+def test_a_broken_per_peer_rule_is_named_though_no_plan_exists(tmp_path, capsys, command, peers, rate):
+    path = tmp_path / "peers.csv"
+    path.write_text(peers, encoding="utf-8")
+    argv = [command, "--input", str(path), "--livestream-bps", rate]
+    assert main([*argv, "--budget-bps", "1e6"] if command == "admit" else argv) == 2
+    assert capsys.readouterr() == ("", "error[validation:duplicate-id]: peer id(s) given more than once: a\n")
+
+
 def test_profile_of_an_infeasible_cluster_is_the_infeasible_error(tmp_path, capsys):
-    # solve and simulate refuse such a cluster first, with stream-over-mean-upload,
-    # and admission never plans one, so profile is the one command that gets here;
-    # the plan's refusal is a validation error like any other.
+    # Admission never plans such a cluster, as it prices it at inf; profile, like
+    # solve and simulate, gets the plan's refusal as a validation error like any other.
     out = tmp_path / "p.csv"
     code = main(["profile", "--sizes", "5", "--livestream-bps", "100000", "--output", str(out)])
     captured = capsys.readouterr()

@@ -10,11 +10,12 @@ import pytest
 
 from acide.core import (
     DUPLICATE_ID,
-    STREAM_OVER_CLUSTER_DOWNLOAD,
-    STREAM_OVER_MEAN_UPLOAD,
+    RATE_OVER_DOWNLOAD,
     UPLOAD_OVER_DOWNLOAD,
     UPLOAD_OVER_MIN_DOWNLOAD,
     AllocationPlan,
+    AssumptionViolation,
+    ClusterRefused,
     PeerProfile,
     StreamParams,
     min_bandwidth,
@@ -93,43 +94,66 @@ class TestValidateCluster:
         assert report.ok
         assert [v.code for v in report.violations] == []
 
-    def test_mean_upload_violation(self):
+    def test_rate_over_download_reported(self):
+        # At 16 kbps the pair's phase 1 lasts 0.04 s, so each 1600-bit block goes at 40000 bps.
         peers = [peer("a", 10000.0, 30000.0), peer("b", 10000.0, 30000.0)]
         fast = StreamParams(package_size=16000.0 * 0.2, delay_bound=0.2)
         report = validate_cluster(peers, fast)
-        assert not report.ok
-        assert [v.code for v in report.violations] == [STREAM_OVER_MEAN_UPLOAD]
-
-    @pytest.mark.parametrize("uploads", [(6000.0, 6000.0), (6000.0,)], ids=["pair", "single"])
-    def test_mean_upload_message_says_what_the_rule_means(self, uploads):
-        # The pair is plannable (60000 bps), but costs more than unicasting
-        # to both peers (20000 bps); a single peer costs exactly the unicast r.
-        peers = [peer(f"p{i}", u, 20000.0) for i, u in enumerate(uploads)]
-        n = len(peers)
-        assert validate_cluster(peers, STREAM).violations[-1].message == (
-            "livestream bandwidth 10000.00 bps exceeds the mean upload 6000.00 bps: the cluster costs "
-            f"at least as much as unicasting the stream to each of its {n} peer(s)"
+        assert report.violations == (
+            AssumptionViolation(RATE_OVER_DOWNLOAD, "phase-1 rate exceeds download for peer(s): a, b"),
         )
-        assert min_bandwidth(peers, STREAM).total_bandwidth >= n * STREAM.livestream_bandwidth
-        assert close(allocated_bandwidth(peers, STREAM), {1: 10000.0, 2: 60000.0}[n])
+        with pytest.raises(ClusterRefused) as err:
+            min_bandwidth(peers, fast)
+        assert err.value.violations == report.violations
+
+    @pytest.mark.parametrize("download,codes", [(20000.0, [RATE_OVER_DOWNLOAD]), (40000.0, [])], ids=["low", "roomy"])
+    def test_a_stream_above_the_mean_upload_is_planned_when_every_rate_fits(self, download, codes):
+        # Each phase-1 rate is 30000 bps: the pair costs 60000 bps, more than
+        # unicasting to both peers, but a cost is not a rule.
+        peers = [peer("p0", 6000.0, download), peer("p1", 6000.0, download)]
+        assert [v.code for v in validate_cluster(peers, STREAM).violations] == codes
+        if not codes:
+            plan = min_bandwidth(peers, STREAM)
+            assert close(plan.total_bandwidth, 60000.0)
+            assert all(close(bw, 30000.0) for bw in plan.peer_bandwidths)
 
     def test_single_peer_at_mean_upload_boundary(self):
-        # rate == mean upload is feasible; only a roomy download keeps the
-        # cluster-download check satisfied too.
+        # rate == mean upload is feasible, and the 10000 bps rate fits the download.
         report = validate_cluster([peer("solo", 10000.0, 20000.0)], STREAM)
         assert report.ok
 
-    def test_stream_at_cluster_download_total_is_reported(self):
-        # The aggregate-download condition is strict: equality is a violation.
-        report = validate_cluster([peer("solo", 10000.0, 10000.0)], STREAM)
-        assert [v.code for v in report.violations] == [STREAM_OVER_CLUSTER_DOWNLOAD]
+    def test_a_lone_peer_takes_the_stream_up_to_its_download(self):
+        # Phase 1 sends the whole package at the stream rate: a download equal to it fits.
+        solo = peer("solo", 10000.0, 10000.0)
+        assert validate_cluster([solo], STREAM).ok
+        assert min_bandwidth([solo], STREAM).peer_bandwidths == (10000.0,)
+        short = solo._replace(upload=5000.0, download=math.nextafter(10000.0, 0.0))
+        assert [v.code for v in validate_cluster([short], STREAM).violations] == [RATE_OVER_DOWNLOAD]
 
     def test_upload_over_download_reported_per_condition(self):
         peers = [PeerProfile("bad", 25000.0, 20000.0), peer("ok", 10000.0, 30000.0)]
         report = validate_cluster(peers, STREAM)
-        assert UPLOAD_OVER_DOWNLOAD in [v.code for v in report.violations]
-        assert UPLOAD_OVER_MIN_DOWNLOAD in [v.code for v in report.violations]
-        assert "bad" in [v for v in report.violations if v.code == UPLOAD_OVER_DOWNLOAD][0].message
+        assert [v.code for v in report.violations] == [UPLOAD_OVER_DOWNLOAD, UPLOAD_OVER_MIN_DOWNLOAD]
+        assert "bad" in report.violations[0].message
+
+    def test_rate_over_download_comes_last(self):
+        # At 20 kbps phase 1 lasts 0.1 s, so the 30000 bps uploader's block goes at 30000 bps.
+        peers = [PeerProfile("bad", 30000.0, 15000.0), PeerProfile("bad", 10000.0, 15000.0)]
+        fast = StreamParams(package_size=20000.0 * 0.2, delay_bound=0.2)
+        report = validate_cluster(peers, fast)
+        assert [v.code for v in report.violations] == [
+            DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD, UPLOAD_OVER_MIN_DOWNLOAD, RATE_OVER_DOWNLOAD
+        ]
+
+    def test_a_cluster_with_no_plan_reports_only_the_per_peer_rules(self):
+        # 2 peers at 10000 bps cannot redistribute a 32000 bps stream, so no plan is made.
+        fast = StreamParams(package_size=16000.0 * 0.2 * 2, delay_bound=0.2)
+        assert validate_cluster([peer("a", 10000.0), peer("b", 10000.0)], fast).ok
+        broken = [peer("a", 10000.0), PeerProfile("a", 10000.0, 5000.0)]
+        assert [v.code for v in validate_cluster(broken, fast).violations] == [DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD]
+        with pytest.raises(ClusterRefused) as err:
+            min_bandwidth(broken, fast)
+        assert [v.code for v in err.value.violations] == [DUPLICATE_ID, UPLOAD_OVER_DOWNLOAD]
 
     def test_cross_peer_download_check(self):
         # Each peer consistent on its own, but a's upload exceeds b's download.
@@ -305,13 +329,14 @@ class TestMinBandwidth:
         # copy that delays the first x was timed by the second x's completion
         # and reported continuous.
         twins = [peer("x", 10000.0, 50000.0), peer("x", 20000.0, 50000.0)]
-        with pytest.raises(ValueError, match=r"^peer id\(s\) given more than once: x$"):
+        with pytest.raises(ClusterRefused, match=r"^duplicate-id: peer id\(s\) given more than once: x$"):
             min_bandwidth(twins, STREAM)
-        crossed = [peer("b", 10000.0), peer("a", 20000.0), peer("b", 30000.0), peer("a", 40000.0)]
-        with pytest.raises(ValueError, match=r"^peer id\(s\) given more than once: a, b$"):
+        crossed = [peer("b", 10000.0, 80000.0), peer("a", 20000.0, 80000.0), peer("b", 30000.0, 80000.0),
+                   peer("a", 40000.0, 80000.0)]
+        with pytest.raises(ClusterRefused, match=r"^duplicate-id: peer id\(s\) given more than once: a, b$"):
             min_bandwidth(crossed, STREAM)
         plan = min_bandwidth(TRIO, STREAM)
-        with pytest.raises(ValueError, match=r"^peer id\(s\) given more than once: a$"):
+        with pytest.raises(ClusterRefused, match=r"^duplicate-id: peer id\(s\) given more than once: a$"):
             plan._replace(peers=(TRIO[0], TRIO[1], TRIO[0]))
 
     def test_infeasible_error_carries_details(self):

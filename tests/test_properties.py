@@ -81,8 +81,12 @@ def uploads_of(max_size: int):
 upload_lists = uploads_of(12)
 
 
+# A download no plan rule can bind: every upload and every finite rate is at most it.
+ROOMY = sys.float_info.max
+
+
 def as_pool(uploads: list[float]) -> tuple[PeerProfile, ...]:
-    return tuple(PeerProfile(f"p{i:02d}", u, u) for i, u in enumerate(uploads))
+    return tuple(PeerProfile(f"p{i:02d}", u, ROOMY) for i, u in enumerate(uploads))
 
 
 @st.composite
@@ -112,11 +116,15 @@ def assert_admits_like_a_linear_scan(pool, stream, data):
         with pytest.raises(InsufficientBudgetError):
             join_cluster(budget)
         return
+    try:
+        plan = min_bandwidth(ordered[removed:], stream)
+    except ValueError:
+        return  # the suffix breaks a plan rule: test_admission.py checks such pools by brute force
     outcome = join_cluster(budget)
     assert outcome.rejected == tuple(ordered[:removed])
     assert outcome.admitted == tuple(ordered[removed:])
     # Admission plans its suffix as solve plans the same set, to the bit.
-    assert exact(outcome.plan) == exact(min_bandwidth(outcome.admitted, stream))
+    assert exact(outcome.plan) == exact(plan)
 
 
 @PROPERTY
@@ -189,7 +197,7 @@ def pools_with_rates(draw):
 
 def answers(pool, stream, cap):
     """The plan min_bandwidth makes, the validate_cluster codes and the join_cluster outcome,
-    or each refusal: by its codes for ClusterRefused, whose message lists peers in input order."""
+    or each refusal: by its codes for ClusterRefused."""
     try:
         plan = exact(min_bandwidth(pool, stream))
     except ValueError as exc:
@@ -279,7 +287,7 @@ def absorbed_plan(uploads: list[float], sizes: list[float], shift: int) -> Alloc
     """
     step_length = max(size / upload for size, upload in zip(sizes, uploads))
     phase1 = step_length * 2.0**shift
-    peers = tuple(PeerProfile(f"p{i:02d}", u, u) for i, u in enumerate(uploads))
+    peers = tuple(PeerProfile(f"p{i:02d}", u, ROOMY) for i, u in enumerate(uploads))
     rates = tuple(size / phase1 for size in sizes)
     return AllocationPlan(peers, tuple(sizes), rates, sum(rates), phase1, (len(peers) - 1) * step_length)
 
@@ -331,7 +339,7 @@ def test_simulation_matches_the_event_replay(uploads, rate_share, scale, hand_bu
 @given(upload=bandwidths, size=bandwidths, rate=bandwidths)
 def test_a_lone_peer_completes_when_its_block_arrives(upload, size, rate):
     # The ring formula would give (t2 - L) + L, which can miss t2 = size / rate in its last bit.
-    plan = AllocationPlan((PeerProfile("a", upload, upload),), (size,), (rate,), rate, size / rate, 0.0)
+    plan = AllocationPlan((PeerProfile("a", upload, ROOMY),), (size,), (rate,), rate, size / rate, 0.0)
     trace = simulate(plan)
     assert (trace.completion_times, trace.makespan) == ({"a": size / rate}, size / rate)
 
