@@ -6,9 +6,9 @@ prints nothing on stdout. Exit codes: 0 success, 2 parse/validation/output
 failure, 3 insufficient budget. Every failure prints one line to stderr of
 the form `error[<code>]: <detail>` so scripts can branch on the reason;
 `error[output]` names an --output file that cannot be opened for writing.
-The stream comes only from the flags, so a JSON peer file with a "stream"
-key is refused. The seed is --seed, else 42; for sweep, a scenario file's
-seed ranks between the two.
+The stream comes only from --livestream-bps and --delay-ms (default 200
+ms), so a JSON peer file with a "stream" key is refused. The seed is
+--seed, else 42; for sweep, a scenario file's seed ranks between the two.
 """
 
 from __future__ import annotations
@@ -63,21 +63,18 @@ def _fail(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
 
 
-def _delay_s(args: argparse.Namespace) -> float:
-    """The delay bound in seconds: --delay-ms, else 200 ms."""
-    return DEFAULT_DELAY_BOUND if args.delay_ms is None else args.delay_ms / 1000.0
-
-
 def _peer(where: str, ident, upload, download) -> PeerProfile:
     """One row of a peer file, checked the same way for CSV and JSON.
 
-    The id must be a non-blank string, stored stripped, and both bandwidths
-    positive, finite numbers; `where` names the file and row in the error.
+    The id must be a non-blank string with no line break, stored stripped, and
+    both bandwidths positive, finite numbers; `where` names the file and row.
     """
     if ident is None or isinstance(ident, str) and not ident.strip():
         raise ParseInputError(f"{where}: empty peer id")
     if not isinstance(ident, str):
         raise ParseInputError(f"{where}: peer id must be a string, got {ident!r}")
+    if "\r" in ident or "\n" in ident:
+        raise ParseInputError(f"{where}: peer id must not hold a line break, got {ident!r}")
     try:
         u, d = number(upload), number(download)
     except (TypeError, ValueError):
@@ -94,10 +91,10 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
     """Read peers from CSV rows id,u_bps,d_bps; a header row of exactly those names is optional.
 
     Only the first record may be the header, compared stripped and in any case.
-    A 3-field record that makes a PeerProfile with a non-blank id is kept; any
-    other is skipped if blank and otherwise refused, with _peer's message when
-    it has 3 fields. Errors name the physical line where the record ends, which
-    differs from the record number once a quoted field spans lines.
+    A 3-field record that makes a PeerProfile with an id _peer accepts is kept;
+    any other is skipped if blank and otherwise refused, with _peer's message
+    when it has 3 fields. Errors name the physical line where the record
+    ends, which differs from the record number once a quoted field spans lines.
     """
     peers = []
     try:
@@ -113,7 +110,7 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
                 except ValueError:
                     pass
                 else:
-                    if peer.id:
+                    if peer.id and "\r" not in ident and "\n" not in ident:
                         peers.append(peer)
                         continue
                 where = f"{path}:{reader.line_num}"
@@ -161,7 +158,7 @@ def load_peers_json(path: str) -> list[PeerProfile]:
         if "stream" in data:
             raise ParseInputError(
                 f"{path}: a \"stream\" section is not read; "
-                "give the stream with --package-bits or --livestream-bps, and --delay-ms"
+                "give the stream with --livestream-bps and --delay-ms"
             )
         raw_peers = data.get("peers")
         if not isinstance(raw_peers, list):
@@ -186,16 +183,10 @@ def _load_peer_input(path: str) -> list[PeerProfile]:
     return load_peers_json(path) if path.endswith(".json") else load_peers_csv(path)
 
 
-def _resolve_stream(args: argparse.Namespace) -> StreamParams:
-    """The stream from the flags: --package-bits, or --livestream-bps times the delay bound."""
-    delay_s = _delay_s(args)
-    if args.package_bits is not None:
-        package = args.package_bits
-    elif args.livestream_bps is not None:
-        package = args.livestream_bps * delay_s
-    else:
-        raise ValueError("no package size given: pass --package-bits or --livestream-bps")
-    return StreamParams(package_size=package, delay_bound=delay_s)
+def _stream(args: argparse.Namespace) -> StreamParams:
+    """The stream from the flags: a package of --livestream-bps times the --delay-ms bound."""
+    delay_s = args.delay_ms / 1000.0
+    return StreamParams(package_size=args.livestream_bps * delay_s, delay_bound=delay_s)
 
 
 def _fmt_bw(x: float) -> str:
@@ -216,7 +207,7 @@ def _with_output(args: argparse.Namespace, lines: list[str], table: Callable[...
 
 
 def _cmd_solve(args: argparse.Namespace) -> Result:
-    plan = min_bandwidth(_load_peer_input(args.input), _resolve_stream(args))
+    plan = min_bandwidth(_load_peer_input(args.input), _stream(args))
     table = io.StringIO()  # through csv.writer, so ids are quoted as in the --output CSV
     writer = csv.writer(table, lineterminator="\n")
     writer.writerow(("id", "u_bps", "s_bits", "bw_bps"))
@@ -236,7 +227,7 @@ def _cmd_admit(args: argparse.Namespace) -> Result:
     from acide.admission import AdmissionBudget, join_cluster
 
     peers = _load_peer_input(args.input)
-    stream = _resolve_stream(args)
+    stream = _stream(args)
     outcome = join_cluster(AdmissionBudget(args.budget_bps, tuple(peers), stream))
     lines = [
         f"admitted {len(outcome.admitted)} of {len(peers)} candidates",
@@ -257,7 +248,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Result:
     from acide.sim import playback_check, simulate
 
     peers = _load_peer_input(args.input)
-    stream = _resolve_stream(args)
+    stream = _stream(args)
     trace = simulate(min_bandwidth(peers, stream))
     report = playback_check(trace, stream)
     lines = [
@@ -306,7 +297,7 @@ def _cmd_curve(args: argparse.Namespace) -> Result:
     from acide import output
     from acide.experiments import admitted_vs_budget_curve
 
-    delay_s = _delay_s(args)
+    delay_s = _stream(args).delay_bound
     # Each size once, in the order first given; every curve is computed
     # before any is written, so a failing size leaves no files.
     curves = [
@@ -320,20 +311,16 @@ def _cmd_profile(args: argparse.Namespace) -> Result:
     from acide import output
     from acide.experiments import block_size_profile
 
-    delay_s = _delay_s(args)
-    stream = StreamParams(package_size=args.livestream_bps * delay_s, delay_bound=delay_s)
-    profiles = block_size_profile(args.sizes, stream, args.seed)
+    profiles = block_size_profile(args.sizes, _stream(args), args.seed)
     tables = ((size, output.profile_rows(rows)) for size, rows in sorted(profiles.items()))
     return _per_size(args, output.PROFILE_COLUMNS, tables)
 
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--package-bits", type=float, help="media package size in bits")
-    group.add_argument(
-        "--livestream-bps", type=float, help="livestream bandwidth; package = rate * delay bound"
-    )
-    parser.add_argument("--delay-ms", type=float, help="delay bound in milliseconds (default 200)")
+    parser.add_argument("--livestream-bps", type=float, required=True,
+                        help="livestream bandwidth; package = rate * delay bound")
+    parser.add_argument("--delay-ms", type=float, default=DEFAULT_DELAY_BOUND * 1000,
+                        help="delay bound in milliseconds (default %(default)g)")
 
 
 def _add_io_flags(parser: argparse.ArgumentParser, output_required: bool = False) -> None:
@@ -383,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         tables = sub.add_parser(name, help=help_text)
         tables.add_argument("--sizes", type=int, nargs="+", required=True, help=sizes_help)
-        tables.add_argument("--livestream-bps", type=float, required=True)
-        tables.add_argument("--delay-ms", type=float, help="delay bound in milliseconds (default 200)")
+        _add_stream_flags(tables)
         tables.add_argument("--seed", type=int, default=DEFAULT_SEED)
         _add_io_flags(tables, output_required=True)
         tables.set_defaults(handler=handler)

@@ -353,7 +353,7 @@ def reference_load_peers_csv(path: str) -> list[PeerProfile]:
                     raise ParseInputError(
                         f"{path}:{line}: expected 3 fields id,u_bps,d_bps, got {len(row)}"
                     )
-                peers.append(_peer(f"{path}:{line}", row[0].strip(), row[1], row[2]))
+                peers.append(_peer(f"{path}:{line}", *row))
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
     if not peers:

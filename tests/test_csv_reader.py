@@ -29,6 +29,9 @@ ROWS = {
     "empty-quoted": '""\n',
     "quoted-comma-id": '"x,y",15000,30000\n',
     "quoted-newline-id": '"x\ny",15000,30000\n',
+    "quoted-trailing-newline-id": '"x\n",15000,30000\n',
+    "quoted-carriage-return-id": '"x\ry",15000,30000\n',
+    "quoted-newline-upload": 'b,"15000\n",30000\n',
     "spaced-id": "  b  ,15000,30000\n",
     "whitespace-id": "   ,15000,30000\n",
     "empty-id": ",15000,30000\n",
@@ -104,8 +107,8 @@ def test_missing_file_matches_reference(tmp_path):
 
 
 def test_error_names_the_line_of_the_bad_row(tmp_path):
-    # A blank line, and a quoted id spread over two lines: either way the bad row is on line 4.
-    for name, text in [("peers.csv", "id,u_bps,d_bps\n" + GOOD + "\n"), ("ml.csv", GOOD + '"x\ny",15000,30000\n')]:
+    # A blank line, and a quoted upload spread over two lines: either way the bad row is on line 4.
+    for name, text in [("peers.csv", "id,u_bps,d_bps\n" + GOOD + "\n"), ("ml.csv", GOOD + 'x,"15000\n",30000\n')]:
         path = tmp_path / name
         path.write_text(text + "b,nan,30000\n", encoding="utf-8")
         with pytest.raises(ParseInputError, match=rf"{re.escape(name)}:4: bandwidths must be positive"):
