@@ -3,12 +3,12 @@
 Admission picks, from N interested users, the largest subset whose optimal
 plan fits the reserved budget and keeps the cluster rules AllocationPlan
 checks. By cost alone that is the top-k uploaders: dropping the weakest
-uploader never raises the requirement, because (n-1)*u_min is at most
-sum(u). So admission bisects for the longest upload-sorted suffix that
-fits, and admits it if its plan keeps the rules; else it searches the sets
-E(D) = {u <= D <= d}, D a candidate's download: a set keeps the chain rule
-(max u <= min d) iff it lies in some E(D). AdmissionBudget decides who may
-be a candidate: a peer that keeps the per-peer rules.
+uploader never raises the requirement, as (n-1)*u_min <= sum(u). So _admit,
+the one search (join_cluster's, the sweep's and the curve's), bisects for
+the longest upload-sorted suffix that fits, and admits it if its plan keeps
+the rules; else it searches the sets E(D) = {u <= D <= d}, D a download: a
+set keeps the chain rule (max u <= min d) iff it lies in some E(D).
+AdmissionBudget accepts as candidates only peers that keep the per-peer rules.
 """
 
 from __future__ import annotations
@@ -113,6 +113,20 @@ def _best_chained(ordered: list[PeerProfile], stream: StreamParams, budget: floa
     return best[3]
 
 
+def _admit(ordered: list[PeerProfile], stream: StreamParams, budget: float) -> AllocationPlan:
+    """join_cluster's search and its plan, raising as it does, for candidates already checked and sorted."""
+    removed = _first_kept([p.upload for p in ordered], stream, budget)
+    if removed == len(ordered):
+        raise InsufficientBudgetError(budget, stream.livestream_bandwidth)
+    try:
+        return min_bandwidth(ordered[removed:], stream)
+    except ValueError:
+        plan = _best_chained(ordered, stream, budget)
+        if plan is None:
+            raise
+        return plan
+
+
 def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
     """Admit the largest, then cheapest, set of candidates whose plan fits the budget and keeps the rules.
 
@@ -121,20 +135,11 @@ def join_cluster(budget: AdmissionBudget) -> AdmissionOutcome:
     one peer fits; when no set's plan is accepted, what the top uploaders' plan was refused with.
     """
     ordered = sort_peers(budget.candidates)
-    cap = budget.given_allocated_bandwidth
-    removed = _first_kept([p.upload for p in ordered], budget.stream, cap)
-    if removed == len(ordered):
-        raise InsufficientBudgetError(cap, budget.stream.livestream_bandwidth)
-    try:
-        plan = min_bandwidth(ordered[removed:], budget.stream)
-    except ValueError:
-        plan = _best_chained(ordered, budget.stream, cap)
-        if plan is None:
-            raise
+    plan = _admit(ordered, budget.stream, budget.given_allocated_bandwidth)
     admitted = {p.id for p in plan.peers}
     return AdmissionOutcome(
         admitted=plan.peers,
         plan=plan,
-        efficiency=plan.total_bandwidth / cap,
+        efficiency=plan.total_bandwidth / budget.given_allocated_bandwidth,
         rejected=tuple(p for p in ordered if p.id not in admitted),
     )

@@ -73,7 +73,7 @@ def _peer(where: str, ident, upload, download) -> PeerProfile:
         raise ParseInputError(f"{where}: empty peer id")
     if not isinstance(ident, str):
         raise ParseInputError(f"{where}: peer id must be a string, got {ident!r}")
-    if "\r" in ident or "\n" in ident:
+    if ident.splitlines() != [ident]:  # as a str.splitlines() reader of stdout would split it
         raise ParseInputError(f"{where}: peer id must not hold a line break, got {ident!r}")
     try:
         u, d = number(upload), number(download)
@@ -110,7 +110,7 @@ def load_peers_csv(path: str) -> list[PeerProfile]:
                 except ValueError:
                     pass
                 else:
-                    if peer.id and "\r" not in ident and "\n" not in ident:
+                    if peer.id and ident.splitlines() == [ident]:
                         peers.append(peer)
                         continue
                 where = f"{path}:{reader.line_num}"

@@ -16,7 +16,7 @@ import random
 import sys
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from acide.admission import _first_kept
+from acide.admission import _admit
 from acide.core import (
     DEFAULT_DELAY_BOUND,
     DEFAULT_SEED,
@@ -25,7 +25,6 @@ from acide.core import (
     _CheckedRecord,
     min_bandwidth,
     number,
-    requirement,
     sort_peers,
 )
 
@@ -214,34 +213,40 @@ def generate_peers(
     return sort_peers(peers)
 
 
+def _admitted(pool: list[PeerProfile], stream: StreamParams, budget: float) -> tuple[int, float]:
+    """How many of a drawn pool join_cluster admits at `budget`, and their bandwidth; (0, 0.0) for nobody."""
+    try:
+        plan = _admit(pool, stream, budget)
+    except ValueError:  # InsufficientBudgetError and ClusterRefused among them
+        return 0, 0.0
+    return len(plan.peers), plan.total_bandwidth
+
+
 def run_admission_sweep(spec: ScenarioSpec) -> list[ExperimentRecord]:
     """Admit one cluster per (pool size, livestream bandwidth, budget) cell.
 
     One candidate pool is drawn per cluster size (see pool_seed) and reused
     across every stream rate and budget, so trends within a size are not
-    confounded by new draws. The pools come out of generate_peers sorted by
-    upload, so each cell admits the longest suffix that fits by cost, found by
-    one bisection. Records come out ordered: size ascending, stream rate
-    ascending, budget descending. A budget below the livestream bandwidth
-    admits nobody and is recorded with n_admitted = 0.
+    confounded by new draws. Each cell records what join_cluster admits on
+    the same pool and budget (see _admitted), so a budget below the
+    livestream bandwidth records n_admitted = 0. Records come out ordered:
+    size ascending, stream rate ascending, budget descending.
     """
     records: list[ExperimentRecord] = []
     for size in sorted(set(spec.cluster_sizes)):
         pool = generate_peers(
             size, *pool_ranges(size, spec.upload_ranges, spec.download_ranges), pool_seed(spec.seed, size)
         )
-        uploads = [p.upload for p in pool]
         for rate in sorted(set(spec.livestream_bandwidths)):
             stream = StreamParams(package_size=rate * spec.delay_bound, delay_bound=spec.delay_bound)
             for budget in sorted(set(spec.budgets), reverse=True):
-                removed = _first_kept(uploads, stream, budget)
-                bw = requirement(uploads[removed:], stream) if removed < size else 0.0
+                n, bw = _admitted(pool, stream, budget)
                 records.append(
                     ExperimentRecord(
                         pool_size=size,
                         livestream_bandwidth=rate,
                         budget=budget,
-                        n_admitted=size - removed,
+                        n_admitted=n,
                         allocated_bandwidth=bw,
                         efficiency_pct=bw / budget * 100.0,
                     )
@@ -260,12 +265,12 @@ def admitted_vs_budget_curve(
     """Admitted cluster size as a function of the budget, for one drawn pool.
 
     The budget grid spans the livestream bandwidth (everything below it
-    admits nobody) up to the bandwidth of the largest admissible group, with
-    one grid point per candidate, endpoints included. The pool comes out of
-    generate_peers sorted by upload, so each point's n is one bisection over
-    its suffixes by cost, as join_cluster first tries. The n values are
-    non-decreasing in the budget. Ranges default to the bundled per-size
-    ranges.
+    admits nobody) up to the bandwidth of the set join_cluster admits under
+    the largest float budget, with one grid point per candidate, endpoints
+    included. Each point's n is what join_cluster admits there (see
+    _admitted), so the n values are non-decreasing in the budget; a pool no
+    budget admits raises as join_cluster does. Ranges default to the bundled
+    per-size ranges.
     """
     if upload_range is None or download_range is None:
         default_upload, default_download = pool_ranges(size, DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES)
@@ -275,17 +280,11 @@ def admitted_vs_budget_curve(
     size = len(pool)
     stream = StreamParams(package_size=livestream_bandwidth * delay_bound, delay_bound=delay_bound)
     low = stream.livestream_bandwidth
-    uploads = [p.upload for p in pool]
-    # Every finite requirement is at most the largest float, and an
-    # infeasible one is inf, so this budget admits the largest feasible group.
-    first_feasible = _first_kept(uploads, stream, sys.float_info.max)
-    high = requirement(uploads[first_feasible:], stream)
-    if size == 1:
-        grid = [high]
-    else:
-        grid = [low + (high - low) * i / (size - 1) for i in range(size)]
-        grid[0], grid[-1] = low, high
-    return [(budget, size - _first_kept(uploads, stream, budget)) for budget in grid]
+    # Every finite price is at most the largest float, so this budget admits the largest group admit can.
+    high = _admit(pool, stream, sys.float_info.max).total_bandwidth
+    grid = [low + (high - low) * i / max(size - 1, 1) for i in range(size)]
+    grid[0], grid[-1] = low, high  # one point, for one peer, is high
+    return [(budget, _admitted(pool, stream, budget)[0]) for budget in grid]
 
 
 def block_size_profile(

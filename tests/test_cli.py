@@ -858,16 +858,23 @@ def test_every_stream_command_needs_livestream_bps_and_refuses_package_bits(peer
 @pytest.mark.parametrize(
     "argv", [["solve"], ["admit", "--budget-bps", "15000"], ["simulate"]], ids=["solve", "admit", "simulate"]
 )
-@pytest.mark.parametrize("ident", ["a\rb", "x\ny", "c\r\n", "\nd"], ids=["cr", "lf", "crlf-trailing", "lf-leading"])
+@pytest.mark.parametrize(
+    "ident",
+    ["a\rb", "x\ny", "c\r\n", "\nd", "a\vb", "a\f", "\x1cb", "a\x1db", "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b"],
+    ids=["cr", "lf", "crlf-trailing", "lf-leading", "vt", "ff-trailing", "fs-leading", "gs", "rs", "nel", "ls", "ps"],
+)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_an_id_holding_a_line_break_is_refused(tmp_path, capsys, argv, ident, fmt):
-    # Such an id would spread one record of stdout or of a CSV over two lines, and csv.writer
-    # quotes a bare \r only from Python 3.13 on; stripping the id would hide a break at either end.
+    # Such an id would spread one record of stdout or of a CSV over two lines, for a reader that
+    # splits at what str.splitlines() splits at, and csv.writer quotes a bare \r only from
+    # Python 3.13 on; stripping the id would hide a break at either end.
     path = tmp_path / f"peers.{fmt}"
     rows = [(ident, 10000, 20000), ("b", 15000, 30000), ("c", 20000, 40000)]
     if fmt == "csv":
         path.write_bytes("".join(f'"{i}",{u},{d}\n' for i, u, d in rows).encode("utf-8"))
-        where = f"{path}:2"  # the line where the quoted id's record ends
+        # The line where the quoted id's record ends: a file's lines break only at \r, \n and \r\n.
+        line = 2 if {"\r", "\n"} & set(ident) else 1
+        where = f"{path}:{line}"
     else:
         path.write_text(json.dumps([{"id": i, "u_bps": u, "d_bps": d} for i, u, d in rows]), encoding="utf-8")
         where = f"{path}: peer #1"
@@ -1032,6 +1039,48 @@ def test_sweep_refuses_ranges_that_overlap_before_drawing(tmp_path, capsys):
         "got 20000.0 below 30000.0\n"
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "scenario, rows",
+    [
+        # At 16 kbps the size-5 pool's top five cost 204387.14 bps, but their plan breaks the rate rule.
+        ({"cluster_sizes": [5], "budgets_bps": [1e6], "livestream_bandwidths_bps": [16000]},
+         ["5,16000.00,1000000.00,4,87086.88,8.71"]),
+        # Every size-20 download is below 100 kbps, so no set takes the stream at any budget.
+        ({"cluster_sizes": [20], "budgets_bps": [1e9, 1e6, 100000], "livestream_bandwidths_bps": [100000]},
+         ["20,100000.00,1000000000.00,0,0.00,0.00", "20,100000.00,1000000.00,0,0.00,0.00",
+          "20,100000.00,100000.00,0,0.00,0.00"]),
+    ],
+    ids=["rate-rule-drops-one", "nobody-takes-the-stream"],
+)
+def test_a_sweep_cell_admits_only_a_set_that_keeps_the_rules(tmp_path, capsys, scenario, rows):
+    stdout = _sweep_stdout(capsys, ["--input", _scenario(tmp_path, scenario)])
+    assert stdout.splitlines()[1:] == rows
+
+
+@pytest.mark.parametrize(
+    "rate, rows",
+    [
+        ("16000", ["16000.00,1", "24821.94,1", "33643.89,2", "42465.83,2", "51287.78,3"]),
+        # The top uploader u005 downloads 20297.97 bps, below the stream, and only u001 is admitted at any budget.
+        ("21000", ["21000.00,1"] * 5),
+    ],
+)
+def test_a_curve_counts_only_sets_that_keep_the_rules(tmp_path, capsys, rate, rows):
+    argv = ["curve", "--sizes", "5", "--livestream-bps", rate, "--seed", "42", "--output", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert (tmp_path / "c_n5.csv").read_text(encoding="utf-8").splitlines() == ["BW_bps,n", *rows]
+
+
+def test_a_curve_over_a_pool_that_admits_no_set_is_refused_as_admit_refuses_it(tmp_path, capsys):
+    # Every size-20 download is below 100 kbps: the top uploader's plan is refused, and no file is written.
+    argv = ["curve", "--sizes", "20", "--livestream-bps", "100000", "--seed", "42", "--output", str(tmp_path / "c.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error[validation:rate-over-download]: phase-1 rate exceeds download for peer(s): u007\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("data", [[5, 10], "5", 5, None], ids=["list", "string", "number", "null"])

@@ -31,6 +31,15 @@ ROWS = {
     "quoted-newline-id": '"x\ny",15000,30000\n',
     "quoted-trailing-newline-id": '"x\n",15000,30000\n',
     "quoted-carriage-return-id": '"x\ry",15000,30000\n',
+    # Breaks that str.splitlines() splits at but a CSV file's lines do not.
+    "vertical-tab-id": "x\vy,15000,30000\n",
+    "trailing-form-feed-id": '"x\f",15000,30000\n',
+    "file-separator-id": "x\x1cy,15000,30000\n",
+    "leading-group-separator-id": "\x1dx,15000,30000\n",
+    "record-separator-id": "x\x1ey,15000,30000\n",
+    "next-line-id": "x\x85y,15000,30000\n",
+    "line-separator-id": "x\u2028y,15000,30000\n",
+    "paragraph-separator-id": '"x\u2029y",15000,30000\n',
     "quoted-newline-upload": 'b,"15000\n",30000\n',
     "spaced-id": "  b  ,15000,30000\n",
     "whitespace-id": "   ,15000,30000\n",

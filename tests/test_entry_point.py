@@ -21,25 +21,28 @@ PEERS_CSV = "id,u_bps,d_bps\na,10000,20000\nb,15000,30000\nc,20000,40000\n"
 STREAM_FLAGS = ["--livestream-bps", "10000", "--delay-ms", "200"]
 
 # Runs cli.main(argv) in process and prints its exit code, its stdout and
-# stderr, and the number of objects the collector holds frozen afterwards.
+# stderr, and how many objects it froze: some interpreters freeze objects at
+# start-up already, so the count is taken before and after.
 MAIN_SCRIPT = """
 import contextlib, gc, io, json, sys
 from acide import cli
 out, err = io.StringIO(), io.StringIO()
+before = gc.get_freeze_count()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, out.getvalue(), err.getvalue(), gc.get_freeze_count()]))
+print(json.dumps([code, out.getvalue(), err.getvalue(), gc.get_freeze_count() - before]))
 """
 
 # Runs the entry point itself and prints, to stderr after the command's own
-# output, how many objects it left frozen.
+# output, how many objects it froze.
 RUN_SCRIPT = """
 import gc, sys
 from acide import cli
+before = gc.get_freeze_count()
 try:
     cli.run()
 except SystemExit as exc:
-    print(exc.code, gc.get_freeze_count(), file=sys.stderr)
+    print(exc.code, gc.get_freeze_count() - before, file=sys.stderr)
 """
 
 

@@ -2,7 +2,7 @@
 candidate rule, the canonical upload sum, one answer for a pool in any
 order, closed-form block sizes, the closed-form simulation and the CSV peer
 reader against oracles, a lone peer's completion, a curve's end points, the
-plan rule on every plan min_bandwidth returns, a plan for every cluster
+sweep and the curve against join_cluster, the plan rule on every plan min_bandwidth returns, a plan for every cluster
 validate_cluster accepts, and a drawn pool as one batch of draws.
 
 Uploads span 1e-3 to 1e12 bps (1e-300 to 1e308 for the plan rule, and any
@@ -39,7 +39,13 @@ from acide.core import (
     upload_total,
     validate_cluster,
 )
-from acide.experiments import admitted_vs_budget_curve, generate_peers
+from acide.experiments import (
+    ScenarioSpec,
+    admitted_vs_budget_curve,
+    generate_peers,
+    pool_seed,
+    run_admission_sweep,
+)
 from acide.output import plan_document
 from acide.sim import simulate
 from oracles import (
@@ -349,14 +355,56 @@ def test_a_lone_peer_completes_when_its_block_arrives(upload, size, rate):
        rate=bandwidths)
 def test_a_curve_runs_from_the_stream_rate_to_the_largest_feasible_group(size, seed, ends, rate):
     u_low, u_high, d_low, d_high = sorted(ends)
-    curve = admitted_vs_budget_curve(size, rate, seed, (u_low, u_high), (d_low, d_high))
     pool = generate_peers(size, (u_low, u_high), (d_low, d_high), seed)
     stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
-    # The largest group with a finite price: every finite price is at most the largest float.
-    removed = linear_suffix_scan(pool, stream, sys.float_info.max)
+    # The largest group admit admits: every finite price is at most the largest float.
+    try:
+        top = join_cluster(AdmissionBudget(sys.float_info.max, pool, stream)).plan
+    except ClusterRefused as refused:
+        with pytest.raises(ClusterRefused) as err:
+            admitted_vs_budget_curve(size, rate, seed, (u_low, u_high), (d_low, d_high))
+        assert err.value.violations == refused.violations
+        return
+    curve = admitted_vs_budget_curve(size, rate, seed, (u_low, u_high), (d_low, d_high))
     assert len(curve) == size
     assert curve[0][0] == stream.livestream_bandwidth
-    assert curve[-1] == (requirement([p.upload for p in pool[removed:]], stream), size - removed)
+    assert curve[-1] == (top.total_bandwidth, len(top.peers))
+
+
+@PROPERTY
+@given(size=st.integers(1, 12), seed=st.integers(0, 2**32), u_low=bandwidths, spread=st.floats(1.0, 4.0),
+       reach=st.floats(1.0, 1.5), share=st.floats(0.2, 2.0),
+       budget_shares=st.lists(st.floats(0.9, 20.0), min_size=1, max_size=4))
+@example(size=5, seed=42, u_low=10000.0, spread=2.0, reach=1.5, share=16 / 15, budget_shares=[62.5])
+def test_the_sweep_and_the_curve_admit_what_join_cluster_admits(
+    size, seed, u_low, spread, reach, share, budget_shares
+):
+    # Downloads reach at most 1.5 times the top upload and the rate up to twice the middle one,
+    # so the rate rule often refuses the top uploaders that fit by cost.
+    upload_range = (u_low, u_low * spread)
+    download_range = (upload_range[1], upload_range[1] * reach)
+    rate = (upload_range[0] + upload_range[1]) / 2 * share
+    stream = StreamParams(package_size=rate * DELAY, delay_bound=DELAY)
+
+    def admitted(pool, budget):
+        try:
+            plan = join_cluster(AdmissionBudget(budget, pool, stream)).plan
+        except ValueError:
+            return 0, 0.0
+        return len(plan.peers), plan.total_bandwidth
+
+    budgets = [rate * s for s in budget_shares]
+    spec = ScenarioSpec((size,), {size: upload_range}, {size: download_range}, DELAY, (rate,), budgets, seed)
+    pool = generate_peers(size, upload_range, download_range, pool_seed(seed, size))
+    for record in run_admission_sweep(spec):
+        assert (record.n_admitted, record.allocated_bandwidth) == admitted(pool, record.budget)
+    pool = generate_peers(size, upload_range, download_range, seed)
+    try:
+        curve = admitted_vs_budget_curve(size, rate, seed, upload_range, download_range)
+    except ClusterRefused:  # where join_cluster refuses the pool too, as the property above checks
+        curve = []
+    for budget, n in curve:
+        assert n == admitted(pool, budget)[0]
 
 
 # Log-uniform over the whole positive float range, as far as 10.0 ** e stays finite.
