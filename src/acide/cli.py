@@ -19,11 +19,11 @@ import gc
 import io
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from itertools import chain
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 from acide.core import (
     DEFAULT_DELAY_BOUND,
@@ -63,67 +63,69 @@ def _fail(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
 
 
-def _peer(where: str, ident, upload, download) -> PeerProfile:
+def _json_number(value) -> float:
+    """number(value) for a JSON value; a JSON string is text, refused as true and false are."""
+    if isinstance(value, str):
+        raise TypeError(f"expected a number, got {value!r}")
+    return number(value)
+
+
+def _peer(ident, upload, download, to_number: Callable) -> PeerProfile:
     """One row of a peer file, checked the same way for CSV and JSON.
 
     The id must be a non-blank string with no line break, stored stripped, and
-    both bandwidths positive, finite numbers; `where` names the file and row.
+    both bandwidths, read by to_number, positive, finite numbers. The error
+    holds the bare detail; the reader adds the file and row, only if it fails.
     """
     if ident is None or isinstance(ident, str) and not ident.strip():
-        raise ParseInputError(f"{where}: empty peer id")
+        raise ParseInputError("empty peer id")
     if not isinstance(ident, str):
-        raise ParseInputError(f"{where}: peer id must be a string, got {ident!r}")
+        raise ParseInputError(f"peer id must be a string, got {ident!r}")
     if ident.splitlines() != [ident]:  # as a str.splitlines() reader of stdout would split it
-        raise ParseInputError(f"{where}: peer id must not hold a line break, got {ident!r}")
+        raise ParseInputError(f"peer id must not hold a line break, got {ident!r}")
     try:
-        u, d = number(upload), number(download)
+        u, d = to_number(upload), to_number(download)
     except (TypeError, ValueError):
-        raise ParseInputError(
-            f"{where}: u_bps and d_bps must be numbers, got {upload!r}, {download!r}"
-        ) from None
+        raise ParseInputError(f"u_bps and d_bps must be numbers, got {upload!r}, {download!r}") from None
     try:
         return PeerProfile(ident.strip(), u, d)
     except ValueError:
-        raise ParseInputError(f"{where}: bandwidths must be positive and finite, got {u}, {d}") from None
+        raise ParseInputError(f"bandwidths must be positive and finite, got {u}, {d}") from None
+
+
+@contextmanager
+def _open(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """An input file as UTF-8 text past any BOM; one that cannot be opened, read or decoded is a ParseInputError."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fp:
+            yield fp
+    except OSError as exc:
+        raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseInputError(f"{path}: {exc}") from exc
 
 
 def load_peers_csv(path: str) -> list[PeerProfile]:
     """Read peers from CSV rows id,u_bps,d_bps; a header row of exactly those names is optional.
 
     Only the first record may be the header, compared stripped and in any case.
-    A 3-field record that makes a PeerProfile with an id _peer accepts is kept;
-    any other is skipped if blank and otherwise refused, with _peer's message
-    when it has 3 fields. Errors name the physical line where the record
-    ends, which differs from the record number once a quoted field spans lines.
+    A 3-field record is a peer, checked by _peer; any other is skipped if blank
+    and otherwise refused. Errors name the physical line where the record ends,
+    which differs from the record number once a quoted field spans lines.
     """
     peers = []
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fp:
-            reader = csv.reader(fp)
+    with _open(path, newline="") as fp:
+        reader = csv.reader(fp)
+        try:
             first = next(reader, [])
             is_header = [field.strip().lower() for field in first] == ["id", "u_bps", "d_bps"]
-            rows = reader if is_header else chain([first], reader)
-            for row in rows:
-                try:
-                    ident, upload, download = row
-                    peer = PeerProfile(ident.strip(), float(upload), float(download))
-                except ValueError:
-                    pass
-                else:
-                    if peer.id and ident.splitlines() == [ident]:
-                        peers.append(peer)
-                        continue
-                where = f"{path}:{reader.line_num}"
+            for row in reader if is_header else chain([first], reader):
                 if len(row) == 3:
-                    _peer(where, *row)  # raises: the test accepts all _peer accepts
+                    peers.append(_peer(*row, float))
                 elif row and (len(row) > 1 or row[0].strip()):
-                    raise ParseInputError(f"{where}: expected 3 fields id,u_bps,d_bps, got {len(row)}")
-    except OSError as exc:
-        raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseInputError(f"{path}: {exc}") from exc
-    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        raise ParseInputError(f"{path}:{reader.line_num}: {exc}") from exc
+                    raise ParseInputError(f"expected 3 fields id,u_bps,d_bps, got {len(row)}")
+        except (ParseInputError, csv.Error) as exc:  # csv.Error: e.g. a field over csv.field_size_limit()
+            raise ParseInputError(f"{path}:{reader.line_num}: {exc}") from exc
     if not peers:
         raise ParseInputError(f"{path}: no peers found")
     return peers
@@ -133,17 +135,13 @@ def _read_json(path: str):
     """The parsed content of a JSON file; an unreadable file or bad JSON is a ParseInputError."""
     import json
 
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fp:
+    with _open(path) as fp:
+        try:
             return json.load(fp)
-    except OSError as exc:
-        raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseInputError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseInputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except RecursionError:
-        raise ParseInputError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ParseInputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ParseInputError(f"{path}: JSON nested too deeply") from None
 
 
 def load_peers_json(path: str) -> list[PeerProfile]:
@@ -168,12 +166,13 @@ def load_peers_json(path: str) -> list[PeerProfile]:
     else:
         raise ParseInputError(f"{path}: expected a peer list or an object with one")
     peers = []
-    for i, item in enumerate(raw_peers):
-        try:
-            ident, upload, download = item["id"], item["u_bps"], item["d_bps"]
+    for k, item in enumerate(raw_peers, start=1):
+        try:  # _peer raises only ParseInputError, so a KeyError or TypeError is the item's
+            peers.append(_peer(item["id"], item["u_bps"], item["d_bps"], _json_number))
         except (KeyError, TypeError) as exc:
-            raise ParseInputError(f"{path}: peer #{i + 1} is malformed: {exc}") from exc
-        peers.append(_peer(f"{path}: peer #{i + 1}", ident, upload, download))
+            raise ParseInputError(f"{path}: peer #{k} is malformed: {exc}") from exc
+        except ParseInputError as exc:
+            raise ParseInputError(f"{path}: peer #{k}: {exc}") from exc
     if not peers:
         raise ParseInputError(f"{path}: no peers found")
     return peers

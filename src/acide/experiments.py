@@ -314,18 +314,26 @@ def default_scenario(seed: int = DEFAULT_SEED) -> ScenarioSpec:
     return scenario_from_dict({"seed": seed})
 
 
+def _holds_text(value) -> bool:
+    """Whether a scenario value is a string, or holds one as an item or a range end, where numbers belong."""
+    if isinstance(value, Mapping):
+        value = [end for pair in value.values() for end in pair]
+    return isinstance(value, str) or isinstance(value, (list, tuple)) and any(isinstance(v, str) for v in value)
+
+
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpec:
     """Build a ScenarioSpec from parsed JSON, filling gaps from the defaults (ranges size by size).
 
     A key's value must be a list where its default is one, and otherwise a value
     its conversion accepts: an object of [low, high] pairs, or a number. Any other
-    value makes the scenario malformed, and the message names the key and shape.
+    value makes the scenario malformed, and the message names the key and shape;
+    so does a string where a number belongs, as JSON's true and false do.
     """
 
     def get(key: str, default, shape: str, convert: Callable = number):
         value = data.get(key, default)
         try:
-            if isinstance(value, (list, tuple)) == isinstance(default, tuple):
+            if isinstance(value, (list, tuple)) == isinstance(default, tuple) and not _holds_text(value):
                 return tuple(map(convert, value)) if isinstance(default, tuple) else convert(value)
         except (TypeError, ValueError):
             pass

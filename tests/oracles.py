@@ -4,9 +4,12 @@ These recompute expected values straight from definitions: the block-size
 system the closed form solves, exact rational arithmetic, exhaustive or
 linear searches in place of the library's bisection, the phase-2 cyclic
 shift as (step, sender, receiver) triples and an event-by-event replay of
-the distribution in place of the simulation's closed form, a
-+= loop in place of the canonical upload sum, the row-by-row CSV reader
-in place of the CLI's inline one, and the real-valued bound on how many
+the distribution in place of the simulation's closed form, the exact
+phase-2 rule (n-1)*d_j >= U - u_j with the parallel exchange that meets it,
+beside the chain rule max u <= min d that the cyclic shift needs, a
++= loop in place of the canonical upload sum, a CSV reader that finds the
+header, blank records and field counts record by record in place of
+load_peers_csv, and the real-valued bound on how many
 peers a bandwidth can serve, which admission must respect. The admission
 oracles price each candidate set with allocated_bandwidth: the library's
 requirement over the canonical upload sum, taken in sort_peers order as
@@ -266,6 +269,31 @@ def build_schedule(n: int) -> list[tuple[int, int, int]]:
     return [(step, sender, (sender - 1 + step) % n + 1) for step in range(1, n) for sender in range(1, n + 1)]
 
 
+def exact_phase2_rule(uploads: Sequence[float], downloads: Sequence[float]) -> bool:
+    """Whether every peer j keeps (n-1)*d_j >= U - u_j, in exact arithmetic.
+
+    With blocks S*u_i/U, phase 2 moves (n-1)*S bits over a total upload U, so
+    it lasts at least tau = (n-1)*S/U under any schedule, and peer j must take
+    in the S - s_j bits it lacks within tau: at (U - u_j)/(n-1), the mean
+    upload of the others. parallel_exchange meets the rule with equality.
+    """
+    u = [Fraction(x) for x in uploads]
+    total = sum(u, Fraction(0))
+    return all((len(u) - 1) * Fraction(d) >= total - uj for uj, d in zip(u, downloads, strict=True))
+
+
+def parallel_exchange(uploads: Sequence[float], package_size: float) -> list[tuple[int, int, Fraction, Fraction]]:
+    """Phase 2 with no chain rule, as exact (sender, receiver, bits, rate) transfers.
+
+    Positions are 0-based in the given order. Every transfer starts at the
+    end of phase 1: each peer i sends its block S*u_i/U to every other peer
+    at u_i/(n-1), so it uploads at exactly u_i. Empty for n = 1.
+    """
+    u = [Fraction(x) for x in uploads]
+    total, n, s = sum(u, Fraction(0)), len(u), Fraction(package_size)
+    return [(i, j, s * ui / total, ui / (n - 1)) for i, ui in enumerate(u) for j in range(n) if j != i]
+
+
 def replay_simulation(plan: AllocationPlan) -> tuple[tuple[TraceRow, ...], dict[str, float], float]:
     """(events, completion times, makespan) of a plan, replayed event by event.
 
@@ -353,7 +381,10 @@ def reference_load_peers_csv(path: str) -> list[PeerProfile]:
                     raise ParseInputError(
                         f"{path}:{line}: expected 3 fields id,u_bps,d_bps, got {len(row)}"
                     )
-                peers.append(_peer(f"{path}:{line}", *row))
+                try:
+                    peers.append(_peer(*row, float))
+                except ParseInputError as exc:
+                    raise ParseInputError(f"{path}:{line}: {exc}") from None
     except OSError as exc:
         raise ParseInputError(f"{path}: {exc.strerror or exc}") from exc
     if not peers:

@@ -1358,8 +1358,13 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, argv):
         ("5", "expected a peer list or an object with one"),
         ('[{"id": "a"}]', "peer #1 is malformed: 'u_bps'"),
         ("[]", "no peers found"),
+        # A JSON string is text, refused as true and false are, though its CSV twin is read as 10000 and 20000.
+        ('{"peers": [{"id": "a", "u_bps": "1_0000", "d_bps": " 2e4 "}]}',
+         "peer #1: u_bps and d_bps must be numbers, got '1_0000', ' 2e4 '"),
+        ('[{"id": "a", "u_bps": 10000, "d_bps": 20000}, {"id": "b", "u_bps": 15000, "d_bps": "30000"}]',
+         "peer #2: u_bps and d_bps must be numbers, got 15000, '30000'"),
     ],
-    ids=["missing", "no-peers-key", "number", "no-bandwidths", "empty-list"],
+    ids=["missing", "no-peers-key", "number", "no-bandwidths", "empty-list", "string-bandwidths", "string-download"],
 )
 def test_json_peer_file_faults_are_parse_errors(tmp_path, capsys, argv, text, message):
     path = tmp_path / "x.json"
@@ -1384,3 +1389,37 @@ def test_peers_listed_in_either_order_print_the_same_bytes(tmp_path, capsys, com
         results.append((main(argv), *capsys.readouterr()))
     assert results[0][0] == 0
     assert results[1] == results[0]
+
+
+@pytest.mark.parametrize(
+    "scenario,message",
+    [
+        ({"cluster_sizes": ["5"], "delay_bound_s": "0.2", "seed": "4_2"},
+         "cluster_sizes: expected a list of whole numbers, got ['5']"),
+        ({"cluster_sizes": [5], "seed": "4_2"}, "seed: expected a whole number, got '4_2'"),
+        ({"cluster_sizes": [5], "delay_bound_s": "0.2"}, "delay_bound_s: expected a number, got '0.2'"),
+        ({"cluster_sizes": [5], "budgets_bps": [20000, "10000"]},
+         "budgets_bps: expected a list of numbers, got [20000, '10000']"),
+        ({"cluster_sizes": [5], "livestream_bandwidths_bps": ["1e4"]},
+         "livestream_bandwidths_bps: expected a list of numbers, got ['1e4']"),
+        ({"cluster_sizes": [5], "download_ranges": {"5": [20000, "30000"]}},
+         "download_ranges: expected an object of [low, high] pairs, got {'5': [20000, '30000']}"),
+    ],
+    ids=["sizes", "seed", "delay", "budget", "rate", "range-end"],
+)
+def test_a_json_string_where_a_scenario_number_belongs_is_malformed(tmp_path, capsys, scenario, message):
+    # A JSON string is text, refused as true and false are: "4_2" once ran the sweep with seed 42.
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["sweep", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[validation]: {path}: malformed scenario: {message}\n"
+    assert captured.out == ""
+
+
+def test_a_csv_field_is_text_and_keeps_its_number_parsing(tmp_path, capsys):
+    # The CSV twin of the refused JSON peer is read as 10000 and 20000 bps.
+    path = tmp_path / "text.csv"
+    path.write_text("a,1_0000, 2e4 \n", encoding="utf-8")
+    assert main(["solve", "--input", str(path), "--livestream-bps", "10000"]) == 0
+    assert "a,10000.00,2000.000000,10000.00" in capsys.readouterr().out.splitlines()

@@ -1,7 +1,8 @@
 """Property tests: the bandwidths a peer accepts, bisected admission and its
 candidate rule, the canonical upload sum, one answer for a pool in any
 order, closed-form block sizes, the closed-form simulation and the CSV peer
-reader against oracles, a lone peer's completion, a curve's end points, the
+reader against oracles, the CSV and JSON readers against each other, a lone
+peer's completion, the exact phase-2 rule and its parallel exchange, a curve's end points, the
 sweep and the curve against join_cluster, the plan rule on every plan min_bandwidth returns, a plan for every cluster
 validate_cluster accepts, and a drawn pool as one batch of draws.
 
@@ -17,6 +18,7 @@ import csv
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acide.admission import AdmissionBudget, InsufficientBudgetError, join_cluster
-from acide.cli import ParseInputError, load_peers_csv
+from acide.cli import ParseInputError, load_peers_csv, load_peers_json
 from acide.core import (
     DUPLICATE_ID,
     UPLOAD_OVER_DOWNLOAD,
@@ -50,8 +52,10 @@ from acide.output import plan_document
 from acide.sim import simulate
 from oracles import (
     allocated_bandwidth,
+    exact_phase2_rule,
     linear_suffix_scan,
     loop_allocated_bandwidth,
+    parallel_exchange,
     reference_load_peers_csv,
     replay_simulation,
 )
@@ -254,6 +258,14 @@ csv_rows = mostly(
 )
 
 
+def read_peers(reader, path) -> tuple[list[PeerProfile] | None, str | None]:
+    """(peers, None) from reader(path), or (None, the message of its ParseInputError)."""
+    try:
+        return reader(path), None
+    except ParseInputError as exc:
+        return None, str(exc)
+
+
 @PROPERTY
 @given(rows=st.lists(csv_rows, max_size=8), header=st.booleans())
 def test_csv_reader_matches_the_reference_reader(tmp_path_factory, rows, header):
@@ -263,13 +275,29 @@ def test_csv_reader_matches_the_reference_reader(tmp_path_factory, rows, header)
         if header:
             writer.writerow(["id", "u_bps", "d_bps"])
         writer.writerows(rows)
-    results = []
-    for reader in (load_peers_csv, reference_load_peers_csv):
-        try:
-            results.append((reader(str(path)), None))
-        except ParseInputError as exc:
-            results.append((None, str(exc)))
-    assert results[0] == results[1]
+    assert read_peers(load_peers_csv, str(path)) == read_peers(reference_load_peers_csv, str(path))
+
+
+@PROPERTY
+@given(ident=st.text(max_size=6), upload=st.floats(), download=st.floats())
+@example(ident=" a ", upload=5e-324, download=1.7976931348623157e308)
+@example(ident='a"\u2028b\n', upload=1.0, download=2.0)
+@example(ident="\ufeffa", upload=-0.0, download=math.nan)
+def test_csv_and_json_readers_agree_on_a_peer(tmp_path_factory, ident, upload, download):
+    # A file's BOM marks its encoding and is skipped, so the CSV file gets one
+    # of its own and an id that starts with U+FEFF keeps it, as in JSON.
+    assume(sys.version_info >= (3, 11) or "\0" not in ident)  # csv before 3.11 refuses NUL in any field
+    base = tmp_path_factory.getbasetemp()
+    csv_path, json_path = str(base / "agree.csv"), str(base / "agree.json")
+    with open(csv_path, "w", encoding="utf-8-sig", newline="") as fp:
+        csv.writer(fp).writerow([ident, repr(upload), repr(download)])
+    with open(json_path, "w", encoding="utf-8") as fp:
+        json.dump([{"id": ident, "u_bps": upload, "d_bps": download}], fp)
+    from_csv, from_json = read_peers(load_peers_csv, csv_path), read_peers(load_peers_json, json_path)
+    if from_csv[1] is not None:  # the same detail after each format's location
+        from_csv = None, re.sub(rf"^{re.escape(csv_path)}:\d+: ", "", from_csv[1])
+        from_json = from_json[0], from_json[1] and from_json[1].removeprefix(f"{json_path}: peer #1: ")
+    assert from_csv == from_json
 
 
 @PROPERTY
@@ -348,6 +376,48 @@ def test_a_lone_peer_completes_when_its_block_arrives(upload, size, rate):
     plan = AllocationPlan((PeerProfile("a", upload, ROOMY),), (size,), (rate,), rate, size / rate, 0.0)
     trace = simulate(plan)
     assert (trace.completion_times, trace.makespan) == ({"a": size / rate}, size / rate)
+
+
+@st.composite
+def upload_download_pools(draw):
+    """(uploads, downloads): downloads drawn freely, or each above the top upload, so the chain rule holds."""
+    uploads = draw(upload_lists)
+    floor = max(uploads) if draw(st.booleans()) else 0.0
+    return uploads, [floor + draw(bandwidths) for _ in uploads]
+
+
+@PROPERTY
+@given(pool=upload_download_pools())
+def test_the_chain_rule_implies_the_exact_phase2_rule(pool):
+    uploads, downloads = pool
+    if max(uploads) <= min(downloads):
+        assert exact_phase2_rule(uploads, downloads)
+
+
+def test_the_exact_phase2_rule_is_wider_than_the_chain_rule():
+    # Each peer's download equals the other's upload, so max u > min d.
+    assert exact_phase2_rule([1.0, 3.0], [3.0, 1.0])
+    assert not exact_phase2_rule([1.0, 3.0], [3.0, 0.5])
+
+
+@PROPERTY
+@given(uploads=st.lists(bandwidths, min_size=2, max_size=12), package=bandwidths)
+def test_every_parallel_exchange_transfer_lasts_tau_within_each_receivers_share(uploads, package):
+    u, s = [Fraction(x) for x in uploads], Fraction(package)
+    total, n = sum(u, Fraction(0)), len(u)
+    tau = (n - 1) * s / total
+    inflow, received, outflow = [Fraction(0)] * n, [Fraction(0)] * n, [Fraction(0)] * n
+    transfers = parallel_exchange(uploads, package)
+    assert len(transfers) == n * (n - 1)
+    for sender, receiver, bits, rate in transfers:
+        assert bits / rate == tau
+        inflow[receiver] += rate
+        received[receiver] += bits
+        outflow[sender] += rate
+    for j in range(n):
+        assert inflow[j] <= (total - u[j]) / (n - 1)
+        assert received[j] == s - s * u[j] / total  # every block but its own
+        assert outflow[j] == u[j]
 
 
 @PROPERTY
