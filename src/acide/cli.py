@@ -63,19 +63,14 @@ def _fail(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
 
 
-def _json_number(value) -> float:
-    """number(value) for a JSON value; a JSON string is text, refused as true and false are."""
-    if isinstance(value, str):
-        raise TypeError(f"expected a number, got {value!r}")
-    return number(value)
-
-
 def _peer(ident, upload, download, to_number: Callable) -> PeerProfile:
     """One row of a peer file, checked the same way for CSV and JSON.
 
     The id must be a non-blank string with no line break, stored stripped, and
-    both bandwidths, read by to_number, positive, finite numbers. The error
-    holds the bare detail; the reader adds the file and row, only if it fails.
+    both bandwidths, read by to_number, positive, finite numbers: float for a
+    CSV field, which is text, and number for a JSON value, which refuses a
+    JSON string as it does true and false. The error holds the bare detail;
+    the reader adds the file and row, only if it fails.
     """
     if ident is None or isinstance(ident, str) and not ident.strip():
         raise ParseInputError("empty peer id")
@@ -168,7 +163,7 @@ def load_peers_json(path: str) -> list[PeerProfile]:
     peers = []
     for k, item in enumerate(raw_peers, start=1):
         try:  # _peer raises only ParseInputError, so a KeyError or TypeError is the item's
-            peers.append(_peer(item["id"], item["u_bps"], item["d_bps"], _json_number))
+            peers.append(_peer(item["id"], item["u_bps"], item["d_bps"], number))
         except (KeyError, TypeError) as exc:
             raise ParseInputError(f"{path}: peer #{k} is malformed: {exc}") from exc
         except ParseInputError as exc:
@@ -282,10 +277,14 @@ def _per_size(args: argparse.Namespace, columns: output.Columns, tables: Iterabl
     """One file per (size, rows) table at --output suffixed _n<size>, each with a `wrote` line.
 
     The files keep --output's extension, or take the format's when it has none.
+    An --output with no name to suffix, such as . or /, is opened as given, so
+    it fails as error[output], as sweep's does.
     """
     from pathlib import Path
 
     p = Path(args.output)
+    if not p.name:
+        return [], [(args.output, columns, list, None)]
     suffix = p.suffix or f".{args.format}"
     files = [(str(p.with_name(f"{p.stem}_n{size}{suffix}")), columns, partial(iter, rows), None)
              for size, rows in tables]

@@ -37,12 +37,14 @@ RATE_OVER_DOWNLOAD = "rate-over-download"
 
 
 def number(value, kind: type = float):
-    """kind(value) for a value read from an input file, refusing JSON's true and false.
+    """kind(value) for a number, refusing text and JSON's true and false with TypeError.
 
-    bool is an int subclass, so float(True) is 1.0 and would pass as a number.
-    For kind=int the value must also be whole: int(5.7) would quietly give 5.
+    bool is an int subclass, so float(True) is 1.0 and would pass as a number;
+    float("1_0") and int(" 5 ") would parse text, which only the file readers
+    and the flags do. For kind=int the value must also be whole: int(5.7)
+    would quietly give 5.
     """
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str, bytes, bytearray)):
         raise TypeError(f"expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected a whole number, got {value!r}")

@@ -116,8 +116,9 @@ def pool_ranges(
 class ScenarioSpec(_CheckedRecord, _ScenarioFields):
     """A reproducible sweep: sizes, draw ranges per size, stream values, budgets, seed.
 
-    Sizes, range keys and the seed must be whole numbers and are stored as
-    int; range ends, the delay bound, rates and budgets are stored as float.
+    Every value must be a number, not text (TypeError). Sizes, range keys
+    and the seed must be whole numbers and are stored as int; range ends,
+    the delay bound, rates and budgets are stored as float.
     Each size, then each range key, must pass the pool rule of pool_ranges,
     in its order: size >= 1, both ranges given, 0 < low <= high with finite
     ends, each download range starting at or above the top of its upload
@@ -198,11 +199,15 @@ def generate_peers(
     and with its messages: a whole size >= 1, 0 < low <= high with finite
     ends, a download range starting at or above the top of the upload range.
     So every upload is at most every download (any peer can absorb any
-    other's block) on the one draw. Output is sorted ascending by upload and
+    other's block) on the one draw. Then the seed must be a whole number >= 0,
+    else ValueError: random.Random seeds an int by its absolute value, so -1
+    would draw the pool of 1. Output is sorted ascending by upload and
     deterministic for a given seed.
     """
     (u_low, u_high), (d_low, d_high) = pool_ranges(size, {size: upload_range}, {size: download_range})
     size = int(size)  # whole, as pool_ranges checked
+    if (seed := number(seed, int)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     uploads = [rng.uniform(u_low, u_high) for _ in range(size)]
     downloads = [rng.uniform(d_low, d_high) for _ in range(size)]
@@ -314,36 +319,36 @@ def default_scenario(seed: int = DEFAULT_SEED) -> ScenarioSpec:
     return scenario_from_dict({"seed": seed})
 
 
-def _holds_text(value) -> bool:
-    """Whether a scenario value is a string, or holds one as an item or a range end, where numbers belong."""
-    if isinstance(value, Mapping):
-        value = [end for pair in value.values() for end in pair]
-    return isinstance(value, str) or isinstance(value, (list, tuple)) and any(isinstance(v, str) for v in value)
-
-
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> ScenarioSpec:
     """Build a ScenarioSpec from parsed JSON, filling gaps from the defaults (ranges size by size).
 
     A key's value must be a list where its default is one, and otherwise a value
     its conversion accepts: an object of [low, high] pairs, or a number. Any other
     value makes the scenario malformed, and the message names the key and shape;
-    so does a string where a number belongs, as JSON's true and false do.
+    so does a string where a number belongs, which number refuses as it does
+    JSON's true and false. Only a range key, text as every JSON object key
+    is, is read from a string, with int().
     """
 
     def get(key: str, default, shape: str, convert: Callable = number):
         value = data.get(key, default)
         try:
-            if isinstance(value, (list, tuple)) == isinstance(default, tuple) and not _holds_text(value):
+            if isinstance(value, (list, tuple)) == isinstance(default, tuple):
                 return tuple(map(convert, value)) if isinstance(default, tuple) else convert(value)
         except (TypeError, ValueError):
             pass
         raise ValueError(f"{source}: malformed scenario: {key}: expected {shape}, got {value!r}")
 
+    def ranges(value, defaults: Mapping) -> dict[int, tuple[float, float]]:
+        if isinstance(value, Mapping):  # else _ranges refuses it
+            value = {int(k) if isinstance(k, str) else k: pair for k, pair in value.items()}
+        return {**defaults, **_ranges(value)}
+
     numbers = "a list of numbers"
     pairs = "an object of [low, high] pairs"
     sizes = get("cluster_sizes", DEFAULT_CLUSTER_SIZES, "a list of whole numbers", lambda s: number(s, int))
-    upload_ranges = get("upload_ranges", {}, pairs, lambda r: {**DEFAULT_UPLOAD_RANGES, **_ranges(r)})
-    download_ranges = get("download_ranges", {}, pairs, lambda r: {**DEFAULT_DOWNLOAD_RANGES, **_ranges(r)})
+    upload_ranges = get("upload_ranges", {}, pairs, lambda r: ranges(r, DEFAULT_UPLOAD_RANGES))
+    download_ranges = get("download_ranges", {}, pairs, lambda r: ranges(r, DEFAULT_DOWNLOAD_RANGES))
     return ScenarioSpec(
         cluster_sizes=sizes,
         upload_ranges={s: upload_ranges[s] for s in sizes if s in upload_ranges},

@@ -1216,6 +1216,28 @@ def test_output_into_a_missing_directory_is_an_output_error(tmp_path, peers_csv,
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
+@pytest.mark.parametrize("output", [".", "/", ""], ids=["dot", "root", "empty"])
+@pytest.mark.parametrize("command", ["sweep", "curve", "profile"])
+def test_output_with_no_file_name_is_an_output_error(tmp_path, monkeypatch, capsys, command, output):
+    # curve and profile have no name to suffix with _n<size>, so they open it as given, as sweep does.
+    monkeypatch.chdir(tmp_path)
+    reason = os.strerror(errno.ENOENT if output == "" else errno.EISDIR)
+    assert main([*OUTPUT_COMMANDS[command], "--output", output]) == 2
+    assert capsys.readouterr() == ("", f"error[output]: {output}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_negative_curve_seed_is_refused(tmp_path, capsys):
+    # random.Random seeds an int by its absolute value, so --seed -1 once drew the pool of --seed 1.
+    argv = ["--sizes", "5", "--livestream-bps", "10000", "--seed", "-1", "--output"]
+    assert main(["curve", *argv, str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr() == ("", "error[validation]: seed must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+    # profile draws with pool_seed, which is never negative.
+    assert main(["profile", *argv, str(tmp_path / "p.csv")]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["p_n5.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, name, data",
     [

@@ -246,10 +246,17 @@ class TestSolveBlockSizes:
 
 
 class TestNumber:
-    @pytest.mark.parametrize("value,want", [(5, 5), (5.0, 5), ("5", 5), (-3.0, -3)])
+    @pytest.mark.parametrize("value,want", [(5, 5), (5.0, 5), (-3.0, -3)])
     def test_whole_numbers_are_ints(self, value, want):
         assert number(value, int) == want
         assert type(number(value, int)) is int
+
+    @pytest.mark.parametrize("kind", [int, float])
+    @pytest.mark.parametrize("value", ["5", b"5", bytearray(b"5"), " 0.2 "], ids=["str", "bytes", "bytearray", "padded"])
+    def test_text_refused(self, value, kind):
+        # int() and float() would parse it; only the file readers and the flags read text.
+        with pytest.raises(TypeError, match=f"^expected a number, got {re.escape(repr(value))}$"):
+            number(value, kind)
 
     @pytest.mark.parametrize("value", [5.7, 1.9, -0.5, math.nan, math.inf])
     def test_fractional_or_non_finite_int_refused(self, value):

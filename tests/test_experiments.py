@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import random
 import re
 
 import pytest
@@ -11,6 +12,7 @@ from acide import experiments
 from acide.experiments import (
     DEFAULT_BUDGETS,
     DEFAULT_CLUSTER_SIZES,
+    DEFAULT_DOWNLOAD_RANGES,
     DEFAULT_UPLOAD_RANGES,
     ExperimentRecord,
     ScenarioSpec,
@@ -18,6 +20,7 @@ from acide.experiments import (
     block_size_profile,
     default_scenario,
     generate_peers,
+    pool_ranges,
     pool_seed,
     run_admission_sweep,
     scenario_from_dict,
@@ -71,6 +74,18 @@ class TestGeneratePeers:
     def test_ranges_may_start_at_or_below_one(self):
         pool = generate_peers(3, (0.5, 1.0), (1.0, 2.0), seed=1)
         assert all(0.5 <= p.upload <= 1.0 <= p.download <= 2.0 for p in pool)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**70])
+    def test_a_seed_draws_as_random_random_does(self, seed):
+        rng = random.Random(seed)
+        uploads = [rng.uniform(*GOOD_UPLOAD) for _ in range(5)]
+        assert [p.upload for p in generate_peers(5, GOOD_UPLOAD, GOOD_DOWNLOAD, seed)] == sorted(uploads)
+
+    @pytest.mark.parametrize("seed", [-1, -3, -(2**70)])
+    def test_negative_seed_refused(self, seed):
+        # random.Random seeds an int by its absolute value, so -1 would draw the pool of 1.
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            generate_peers(5, GOOD_UPLOAD, GOOD_DOWNLOAD, seed)
 
     def test_whole_float_size_draws_like_the_int(self):
         ranges = GOOD_UPLOAD, GOOD_DOWNLOAD
@@ -208,6 +223,19 @@ class TestScenarioIO:
             scenario_from_dict({"budgets_bps": [-1.0]})
         with pytest.raises(ValueError):
             scenario_from_dict({"cluster_sizes": [5], "upload_ranges": {"5": [20000.0, 10000.0]}})
+
+    @pytest.mark.parametrize("value", [5, "12", None, True], ids=["number", "string", "null", "true"])
+    @pytest.mark.parametrize("key", ["upload_ranges", "download_ranges"])
+    def test_ranges_that_are_no_object_are_malformed(self, key, value):
+        # The reader turns an object's text keys into ints; anything else goes to _ranges as it is.
+        message = f"s.json: malformed scenario: {key}: expected an object of [low, high] pairs, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict({"cluster_sizes": [5], key: value}, source="s.json")
+
+    def test_text_range_keys_are_read_as_ints(self):
+        ranges = {"upload_ranges": {" 7 ": [1, 2]}, "download_ranges": {"7": [2, 3]}}
+        spec = scenario_from_dict({"cluster_sizes": [7], **ranges})
+        assert spec.upload_ranges == {7: (1.0, 2.0)} and spec.download_ranges == {7: (2.0, 3.0)}
 
 
 class TestCsvWriters:
@@ -399,6 +427,43 @@ def test_pool_fault_has_one_message(fault, entry):
     size, upload, download, message = POOL_FAULTS[fault]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         POOL_ENTRIES[entry](size, upload, download)
+
+
+# One row per library entry and the value it is given as text: (call, number's
+# message, or None where Python's own comparison or arithmetic refuses it).
+# Only the file readers and the CLI flags turn text into numbers.
+TEXT_CALLS = {
+    "spec-size": (lambda: ScenarioSpec(("5",), {5: GOOD_UPLOAD}, {5: GOOD_DOWNLOAD}, **TEXT_SPEC), "'5'"),
+    "spec-range-key": (lambda: ScenarioSpec((5,), {"5": GOOD_UPLOAD}, {5: GOOD_DOWNLOAD}, **TEXT_SPEC), "'5'"),
+    "replace-range-end": (
+        lambda: default_scenario()._replace(cluster_sizes=(5,), download_ranges={5: (20000.0, "30000")}), "'30000'"
+    ),
+    "replace-delay": (lambda: default_scenario()._replace(delay_bound=" 0.2 "), "' 0.2 '"),
+    "replace-rate": (lambda: default_scenario()._replace(livestream_bandwidths=(b"10000",)), "b'10000'"),
+    "replace-budget": (lambda: default_scenario()._replace(budgets=(20000.0, "1e4")), "'1e4'"),
+    "replace-seed": (lambda: default_scenario()._replace(seed="4_2"), "'4_2'"),
+    "pool_ranges-size": (lambda: pool_ranges("5", DEFAULT_UPLOAD_RANGES, DEFAULT_DOWNLOAD_RANGES), "'5'"),
+    "pool_ranges-range": (lambda: pool_ranges(5, {5: ("10000", 20000.0)}, {5: GOOD_DOWNLOAD}), None),
+    "generate_peers-size": (lambda: generate_peers("5", GOOD_UPLOAD, GOOD_DOWNLOAD, 1), "'5'"),
+    "generate_peers-range": (lambda: generate_peers(5, (10000.0, b"20000"), GOOD_DOWNLOAD, 1), None),
+    "generate_peers-seed": (lambda: generate_peers(5, GOOD_UPLOAD, GOOD_DOWNLOAD, "1"), "'1'"),
+    # Not "no upload/download range given for cluster size 5", which the draw once raised.
+    "curve-size": (lambda: admitted_vs_budget_curve("5", 10000.0, 1), "'5'"),
+    "curve-range": (lambda: admitted_vs_budget_curve(5, 10000.0, 1, ("1e4", "2e4"), GOOD_DOWNLOAD), None),
+    "curve-rate": (lambda: admitted_vs_budget_curve(5, "10000", 1), None),
+    "curve-delay": (lambda: admitted_vs_budget_curve(5, 10000.0, 1, delay_bound="0.2"), None),
+    "curve-seed": (lambda: admitted_vs_budget_curve(5, 10000.0, bytearray(b"1")), "bytearray(b'1')"),
+    "profile-size": (lambda: block_size_profile(["5"], STREAM, 1), "'5'"),
+    "profile-seed": (lambda: block_size_profile([5], STREAM, "1"), None),
+}
+TEXT_SPEC = dict(delay_bound=0.2, livestream_bandwidths=(10000.0,), budgets=(20000.0,), seed=1)
+
+
+@pytest.mark.parametrize("case", TEXT_CALLS)
+def test_text_where_a_number_belongs_is_a_type_error(case):
+    call, shown = TEXT_CALLS[case]
+    with pytest.raises(TypeError, match=None if shown is None else f"^expected a number, got {re.escape(shown)}$"):
+        call()
 
 
 class TestSpecConstruction:

@@ -213,7 +213,7 @@ def test_experiment_record_equal_and_hashable():
 def test_scenario_spec_converts_its_values():
     spec = ScenarioSpec(
         cluster_sizes=[5.0],
-        upload_ranges={"5": [10000, 20000]},
+        upload_ranges={5: [10000, 20000]},
         download_ranges={5.0: (20000, 30000)},
         delay_bound=1,
         livestream_bandwidths=[10000],
@@ -223,6 +223,18 @@ def test_scenario_spec_converts_its_values():
     assert tuple(spec) == ((5,), {5: (10000.0, 20000.0)}, {5: (20000.0, 30000.0)}, 1.0, (10000.0,), (20000.0,), 7)
     assert [type(v) for v in (spec.cluster_sizes[0], *spec.upload_ranges, spec.seed)] == [int, int, int]
     assert [type(v) for v in (*spec.upload_ranges[5], spec.delay_bound, *spec.budgets)] == [float] * 4
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("upload_ranges", {"5": (10000.0, 20000.0)}), ("cluster_sizes", ("5",)), ("seed", "7")],
+    ids=["key", "item", "seed"],
+)
+def test_scenario_spec_refuses_text_where_a_number_belongs(field, value):
+    # Only the scenario file reader turns a range key's text into an int.
+    spec = ScenarioSpec((5,), {5: (10000.0, 20000.0)}, {5: (20000.0, 30000.0)}, 0.2, (10000.0,), (20000.0,), 1)
+    with pytest.raises(TypeError, match="^expected a number, got "):
+        spec._replace(**{field: value})
 
 
 def test_scenario_spec_replace_and_make_check_the_new_values():
